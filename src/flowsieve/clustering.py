@@ -10,10 +10,9 @@ point farthest from its nearest centroid.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .stats import (
     nearest_rank_percentile,
     pairwise_dists,
     pairwise_sq_dists,
+    row_sq_norms,
     seed_sequence,
 )
 
@@ -50,12 +50,25 @@ class KMeansResult:
     inertia_history: list[float]
 
 
-def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _values(matrix: Union[FeatureMatrix, np.ndarray]) -> np.ndarray:
+    return matrix.values if isinstance(matrix, FeatureMatrix) else np.asarray(matrix, dtype=float)
+
+
+def _finite_values(matrix: Union[FeatureMatrix, np.ndarray]) -> np.ndarray:
+    x = _values(matrix)
+    if not np.isfinite(x).all():
+        raise DataError("clustering input holds NaN or infinite values")
+    return x
+
+
+def _plus_plus_init(
+    x: np.ndarray, k: int, rng: np.random.Generator, x_sq: np.ndarray
+) -> np.ndarray:
     n = x.shape[0]
     centroids = np.empty((k, x.shape[1]), dtype=float)
     first = int(rng.integers(n))
     centroids[0] = x[first]
-    closest_sq = pairwise_sq_dists(x, centroids[:1])[:, 0]
+    closest_sq = pairwise_sq_dists(x, centroids[:1], x_sq)[:, 0]
     for i in range(1, k):
         total = closest_sq.sum()
         if total <= 0.0:
@@ -63,20 +76,21 @@ def _plus_plus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         else:
             choice = int(rng.choice(n, p=closest_sq / total))
         centroids[i] = x[choice]
-        np.minimum(closest_sq, pairwise_sq_dists(x, centroids[i : i + 1])[:, 0], out=closest_sq)
+        np.minimum(closest_sq, pairwise_sq_dists(x, centroids[i : i + 1], x_sq)[:, 0], out=closest_sq)
     return centroids
 
 
-def _lloyd(x: np.ndarray, centroids: np.ndarray) -> KMeansResult:
+def _lloyd(x: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray) -> KMeansResult:
+    """Lloyd's iteration from `centroids`; `x_sq` is `row_sq_norms(x)`."""
     n, _ = x.shape
     k = centroids.shape[0]
     centroids = centroids.copy()
-    assignments = np.zeros(n, dtype=int)
+    rows = np.arange(n)
     history: list[float] = []
     for _ in range(KMEANS_MAX_ITER):
-        sq = pairwise_sq_dists(x, centroids)
+        sq = pairwise_sq_dists(x, centroids, x_sq)
         assignments = sq.argmin(axis=1)
-        closest_sq = sq[np.arange(n), assignments]
+        closest_sq = sq[rows, assignments]
         counts = np.bincount(assignments, minlength=k)
         if (counts == 0).any():
             # Reseed each empty cluster to the point farthest from its
@@ -86,22 +100,31 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray) -> KMeansResult:
                 farthest = int(spare.argmax())
                 centroids[empty] = x[farthest]
                 spare[farthest] = -1.0
-            sq = pairwise_sq_dists(x, centroids)
+            sq = pairwise_sq_dists(x, centroids, x_sq)
             assignments = sq.argmin(axis=1)
-            closest_sq = sq[np.arange(n), assignments]
+            closest_sq = sq[rows, assignments]
             counts = np.bincount(assignments, minlength=k)
         history.append(float(closest_sq.sum()))
+        # A stable sort lays each cluster's rows out contiguously in index
+        # order, so reducing its slice adds the same rows in the same order
+        # as the mean over a boolean mask would: the centroids are
+        # bit-identical to `x[assignments == c].mean(axis=0)`. The sort is
+        # on the narrowest key type, where NumPy uses a radix sort.
+        keys = assignments.astype(np.min_scalar_type(k - 1))
+        grouped = x[np.argsort(keys, kind="stable")]
         new_centroids = centroids.copy()
-        for c in range(k):
-            if counts[c] > 0:
-                new_centroids[c] = x[assignments == c].mean(axis=0)
+        stop = 0
+        for c, count in enumerate(counts.tolist()):
+            start, stop = stop, stop + count
+            if count:
+                new_centroids[c] = np.add.reduce(grouped[start:stop], axis=0) / count
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
         if shift < KMEANS_SHIFT_TOL:
             break
-    sq = pairwise_sq_dists(x, centroids)
+    sq = pairwise_sq_dists(x, centroids, x_sq)
     assignments = sq.argmin(axis=1)
-    inertia = float(sq[np.arange(n), assignments].sum())
+    inertia = float(sq[rows, assignments].sum())
     return KMeansResult(centroids, assignments, inertia, history)
 
 
@@ -109,16 +132,17 @@ def kmeans_fit(
     matrix: Union[FeatureMatrix, np.ndarray], k: int, seed: int, restarts: int = KMEANS_RESTARTS
 ) -> KMeansResult:
     """Best of `restarts` seeded k-means++/Lloyd runs by inertia."""
-    x = matrix.values if isinstance(matrix, FeatureMatrix) else np.asarray(matrix, dtype=float)
+    x = _finite_values(matrix)
     n = x.shape[0]
     if k < 2:
         raise DataError("k must be at least 2")
     if n < k:
         raise DataError(f"cannot fit {k} clusters on {n} rows")
+    x_sq = row_sq_norms(x)
     best: Optional[KMeansResult] = None
     for child in seed_sequence(seed, TAG_KMEANS).spawn(restarts):
         rng = np.random.default_rng(child)
-        result = _lloyd(x, _plus_plus_init(x, k, rng))
+        result = _lloyd(x, _plus_plus_init(x, k, rng, x_sq), x_sq)
         if best is None or result.inertia < best.inertia:
             best = result
     assert best is not None
@@ -136,20 +160,21 @@ def silhouette_mean(
     non-empty clusters, or when every non-singleton point has zero
     distances in both terms (indistinguishable input).
     """
-    x = matrix.values if isinstance(matrix, FeatureMatrix) else np.asarray(matrix, dtype=float)
-    assignments = np.asarray(assignments)
-    labels, relabeled = np.unique(assignments, return_inverse=True)
-    k = labels.shape[0]
-    if k < 2:
-        raise DataError("silhouette requires at least two non-empty clusters")
-    n = x.shape[0]
-    counts = np.bincount(relabeled, minlength=k).astype(float)
-    membership = np.zeros((n, k))
-    membership[np.arange(n), relabeled] = 1.0
+    return silhouette_means(matrix, [assignments])[0]
 
-    scores = np.zeros(n)
-    any_positive = False
-    has_non_singleton = bool((counts[relabeled] > 1).any())
+
+def silhouette_means(
+    matrix: Union[FeatureMatrix, np.ndarray], assignment_sets: Sequence[np.ndarray]
+) -> list[float]:
+    """`silhouette_mean` of each clustering of the same rows.
+
+    Each chunk of pairwise distances is computed once and scored against
+    every clustering, so scoring many clusterings costs little more than
+    scoring one; each score is bit-identical to a call of its own.
+    """
+    x = _values(matrix)
+    n = x.shape[0]
+    tallies = [_SilhouetteTally(assignments, n) for assignments in assignment_sets]
     for start in range(0, n, _SILHOUETTE_CHUNK):
         stop = min(start + _SILHOUETTE_CHUNK, n)
         if n <= _SILHOUETTE_EXACT_N:
@@ -157,8 +182,31 @@ def silhouette_mean(
             dists = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         else:
             dists = pairwise_dists(x[start:stop], x)
-        cluster_sums = dists @ membership  # (chunk, k)
-        own = relabeled[start:stop]
+        for tally in tallies:
+            tally.add_chunk(start, stop, dists)
+    return [tally.mean() for tally in tallies]
+
+
+class _SilhouetteTally:
+    """Silhouette scores of one clustering, filled chunk by chunk."""
+
+    def __init__(self, assignments: np.ndarray, n: int) -> None:
+        labels, self.relabeled = np.unique(np.asarray(assignments), return_inverse=True)
+        k = labels.shape[0]
+        if k < 2:
+            raise DataError("silhouette requires at least two non-empty clusters")
+        self.counts = np.bincount(self.relabeled, minlength=k).astype(float)
+        self.membership = np.zeros((n, k))
+        self.membership[np.arange(n), self.relabeled] = 1.0
+        self.scores = np.zeros(n)
+        self.any_positive = False
+        self.has_non_singleton = bool((self.counts[self.relabeled] > 1).any())
+
+    def add_chunk(self, start: int, stop: int, dists: np.ndarray) -> None:
+        """Score rows start..stop from their distances to every row."""
+        counts = self.counts
+        cluster_sums = dists @ self.membership  # (chunk, k)
+        own = self.relabeled[start:stop]
         rows = np.arange(stop - start)
         own_counts = counts[own]
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -169,11 +217,13 @@ def silhouette_mean(
             denom = np.maximum(a, b)
             s = np.where(denom > 0.0, (b - a) / np.where(denom > 0.0, denom, 1.0), 0.0)
         s = np.where(own_counts > 1.0, s, 0.0)  # singleton convention
-        any_positive = any_positive or bool((denom[own_counts > 1.0] > 0.0).any())
-        scores[start:stop] = s
-    if has_non_singleton and not any_positive:
-        raise DegenerateDataError("silhouette undefined: all pairwise distances are zero")
-    return float(scores.mean())
+        self.any_positive = self.any_positive or bool((denom[own_counts > 1.0] > 0.0).any())
+        self.scores[start:stop] = s
+
+    def mean(self) -> float:
+        if self.has_non_singleton and not self.any_positive:
+            raise DegenerateDataError("silhouette undefined: all pairwise distances are zero")
+        return float(self.scores.mean())
 
 
 @dataclass
@@ -215,18 +265,31 @@ class Filter2Model:
         version = data.get("schema_version")
         if version != FILTER2_SCHEMA_VERSION:
             raise SchemaError(f"unsupported cluster-filter schema version: {version!r}")
+        k_star = int(data["k_star"])
+        centroids = _artifact_array(data, "centroids")
+        if centroids.ndim != 2 or centroids.shape[0] != k_star:
+            raise SchemaError(
+                f"centroids must be a matrix of k_star={k_star} rows, got shape {centroids.shape}"
+            )
+        thresholds = data.get("per_cluster_thresholds")
+        if thresholds is not None and (not isinstance(thresholds, list) or len(thresholds) != k_star):
+            raise SchemaError(f"per_cluster_thresholds must hold k_star={k_star} values")
+        scales = {}
+        for key in ("per_cluster_mean", "per_cluster_std"):
+            scale = None if data.get(key) is None else _artifact_array(data, key)
+            if scale is not None and scale.shape != centroids.shape:
+                raise SchemaError(
+                    f"{key} must match the centroids' shape {centroids.shape}, got {scale.shape}"
+                )
+            scales[key] = scale
         return cls(
-            k_star=int(data["k_star"]),
-            centroids=np.asarray(data["centroids"], dtype=float),
-            per_cluster_thresholds=data.get("per_cluster_thresholds"),
+            k_star=k_star,
+            centroids=centroids,
+            per_cluster_thresholds=thresholds,
             distance_mode=DistanceMode(data["distance_mode"]),
             feature_space=ClusteringFeatures(data["feature_space"]),
-            per_cluster_mean=None
-            if data.get("per_cluster_mean") is None
-            else np.asarray(data["per_cluster_mean"], dtype=float),
-            per_cluster_std=None
-            if data.get("per_cluster_std") is None
-            else np.asarray(data["per_cluster_std"], dtype=float),
+            per_cluster_mean=scales["per_cluster_mean"],
+            per_cluster_std=scales["per_cluster_std"],
             pca_basis=None if data.get("pca_basis") is None else PcaBasis.from_dict(data["pca_basis"]),
             silhouette_by_k={int(k): float(v) for k, v in data.get("silhouette_by_k", {}).items()},
             notes=list(data.get("notes", [])),
@@ -240,14 +303,21 @@ class Filter2Model:
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
+def _artifact_array(data: dict, key: str) -> np.ndarray:
+    try:
+        return np.asarray(data[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{key} is not a numeric array: {exc}") from exc
+
+
 def train_filter2(matrix: Union[FeatureMatrix, np.ndarray], config: PipelineConfig) -> Filter2Model:
-    """Fit k-means for every k in [k_min, k_max], keep the k with the best
-    mean silhouette (ties break to the smallest k) and refit at it.
+    """Fit k-means for every k in [k_min, k_max] and keep the fit with the
+    best mean silhouette (ties break to the smallest k).
 
     When fewer rows than k_max are available, k_max shrinks to the row
     count with a warning recorded in the model.
     """
-    x = matrix.values if isinstance(matrix, FeatureMatrix) else np.asarray(matrix, dtype=float)
+    x = _finite_values(matrix)
     n = x.shape[0]
     notes: list[str] = []
     if n < 2:
@@ -261,31 +331,21 @@ def train_filter2(matrix: Union[FeatureMatrix, np.ndarray], config: PipelineConf
     if k_max < config.k_min:
         raise DataError(f"only {n} rows available, k_min={config.k_min} not reachable")
 
+    ks = range(config.k_min, k_max + 1)
+    results = {k: kmeans_fit(x, k, seed_for_k(config.rng_seed, k)) for k in ks}
     sample_cap = config.silhouette_sample_max
-    silhouette_by_k: dict[int, float] = {}
-    best_k: Optional[int] = None
-    best_score = -math.inf
-    for k in range(config.k_min, k_max + 1):
-        result = kmeans_fit(x, k, seed_for_k(config.rng_seed, k))
-        if n > sample_cap:
-            rng = derive_rng(config.rng_seed, TAG_SILHOUETTE_SAMPLE, k)
-            sample = rng.choice(n, size=sample_cap, replace=False)
-            sub_assign = result.assignments[sample]
-            if np.unique(sub_assign).shape[0] >= 2:
-                score = silhouette_mean(x[sample], sub_assign)
-            else:
-                score = silhouette_mean(x, result.assignments)
-        else:
-            score = silhouette_mean(x, result.assignments)
-        silhouette_by_k[k] = score
-        if score > best_score:
-            best_score = score
-            best_k = k
-    assert best_k is not None
     if n > sample_cap:
+        scores = [
+            _sampled_silhouette(x, results[k].assignments, config.rng_seed, k, sample_cap, notes)
+            for k in ks
+        ]
         notes.append(f"silhouette scored on a seeded sample of {sample_cap} rows")
+    else:
+        scores = silhouette_means(x, [results[k].assignments for k in ks])
+    silhouette_by_k = dict(zip(ks, scores))
+    best_k = max(silhouette_by_k, key=silhouette_by_k.get)
 
-    final = kmeans_fit(x, best_k, seed_for_k(config.rng_seed, best_k))
+    final = results[best_k]
     model = Filter2Model(
         k_star=best_k,
         centroids=final.centroids,
@@ -300,8 +360,31 @@ def train_filter2(matrix: Union[FeatureMatrix, np.ndarray], config: PipelineConf
     return model
 
 
+def _sampled_silhouette(
+    x: np.ndarray, assignments: np.ndarray, seed: int, k: int, cap: int, notes: list[str]
+) -> float:
+    """Mean silhouette on a seeded sample of `cap` rows.
+
+    A sample that holds a single cluster has no silhouette; it is extended
+    by every row of the clusters it missed, in row order, rather than
+    falling back to all n rows (quadratic in n).
+    """
+    rng = derive_rng(seed, TAG_SILHOUETTE_SAMPLE, k)
+    sample = rng.choice(x.shape[0], size=cap, replace=False)
+    sampled = assignments[sample]
+    if np.unique(sampled).shape[0] < 2:
+        missed = np.flatnonzero(~np.isin(assignments, sampled))
+        sample = np.concatenate([sample, missed])
+        notes.append(
+            f"silhouette at k={k}: the seeded sample held one cluster, "
+            f"so the {missed.size} rows of the clusters it missed were added"
+        )
+    return silhouette_mean(x[sample], assignments[sample])
+
+
 def seed_for_k(seed: int, k: int) -> int:
-    # Stable per-k derivation so the refit at k* reuses the trial's stream.
+    # Stable per-k k-means seed: the fit kept at k* is the sweep's own fit
+    # at that k, and can be reproduced with kmeans_fit alone.
     return (seed * 1_000_003 + k) & 0xFFFFFFFFFFFFFFFF
 
 
@@ -365,7 +448,7 @@ def set_cluster_thresholds(
     evidence that membership is benign, any future member counts as
     unknown.
     """
-    x = validation.values if isinstance(validation, FeatureMatrix) else np.asarray(validation, dtype=float)
+    x = _values(validation)
     if x.shape[0] == 0:
         raise DataError("cannot calibrate cluster thresholds on an empty validation set")
     assignments, distances = assign_and_distance(model, x)

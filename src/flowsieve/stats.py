@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -47,10 +47,20 @@ TAG_SYNTH = 0x05
 TAG_FOREST = 0x06
 
 
-def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between rows of a (m,d) and b (n,d)."""
-    a2 = np.einsum("ij,ij->i", a, a)[:, None]
-    b2 = np.einsum("ij,ij->i", b, b)[None, :]
+def row_sq_norms(a: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, a)
+
+
+def pairwise_sq_dists(
+    a: np.ndarray, b: np.ndarray, a_sq_norms: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Squared Euclidean distances between rows of a (m,d) and b (n,d).
+
+    `a_sq_norms`, when given, must be `row_sq_norms(a)`; callers that
+    measure the same `a` against many `b` pass it to skip recomputing it.
+    """
+    a2 = (row_sq_norms(a) if a_sq_norms is None else a_sq_norms)[:, None]
+    b2 = row_sq_norms(b)[None, :]
     d2 = a2 + b2 - 2.0 * (a @ b.T)
     np.maximum(d2, 0.0, out=d2)
     return d2

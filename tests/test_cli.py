@@ -138,6 +138,36 @@ class TestErrorPaths:
         bad.write_text("a,b,c\n1,2,3\n")
         assert main(["ingest", "--input", str(bad), "--outdir", str(tmp_path)]) == 2
 
+    def _detect_with_edited_filter2(self, workdir, tmp_path, edit):
+        models = tmp_path / "models"
+        models.mkdir()
+        for name in ("filter1.json", "filter2.json"):
+            (models / name).write_bytes((workdir / "models" / name).read_bytes())
+        payload = json.loads((models / "filter2.json").read_text())
+        edit(payload)
+        (models / "filter2.json").write_text(json.dumps(payload))
+        return main(
+            [
+                "detect",
+                "--models", str(models),
+                "--input", str(workdir / "data" / "test.csv"),
+                "--out", str(tmp_path / "verdicts.csv"),
+                "--mode", "per-cluster",
+            ]
+        )
+
+    def test_truncated_cluster_thresholds_are_schema_errors(self, workdir, tmp_path):
+        def truncate(payload):
+            payload["per_cluster_thresholds"] = payload["per_cluster_thresholds"][:-1]
+
+        assert self._detect_with_edited_filter2(workdir, tmp_path, truncate) == 2
+
+    def test_ragged_centroids_are_schema_errors(self, workdir, tmp_path):
+        def ragged(payload):
+            payload["centroids"][0] = payload["centroids"][0][:-1]
+
+        assert self._detect_with_edited_filter2(workdir, tmp_path, ragged) == 2
+
     def test_no_partial_outputs_on_failure(self, tmp_path, workdir):
         # train with an un-trainable configuration must leave no artifacts
         out = tmp_path / "models"

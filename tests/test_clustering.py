@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from flowsieve import clustering
 from flowsieve.clustering import GlobalTanh, PerClusterThreshold
 from flowsieve.config import DistanceMode, PipelineConfig
-from flowsieve.errors import DataError, DegenerateDataError
+from flowsieve.errors import DataError, DegenerateDataError, SchemaError
+from flowsieve.stats import TAG_SILHOUETTE_SAMPLE, derive_rng, pairwise_dists, pairwise_sq_dists
 
 
 def _blobs(rng, centers, per_blob=30, spread=0.5):
@@ -86,6 +87,13 @@ class TestKMeans:
         result = clustering.kmeans_fit(x, 4, seed=7)
         history = result.inertia_history
         assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_is_data_error(self, bad):
+        x = np.random.default_rng(16).normal(size=(20, 3))
+        x[7, 1] = bad
+        with pytest.raises(DataError, match="NaN or infinite"):
+            clustering.kmeans_fit(x, 3, seed=0)
 
     def test_seeded_determinism(self):
         rng = np.random.default_rng(8)
@@ -166,6 +174,39 @@ class TestTrainFilter2:
         assert first.k_star == second.k_star
         assert np.array_equal(first.centroids, second.centroids)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_is_data_error(self, bad):
+        x = np.random.default_rng(17).normal(size=(30, 2))
+        x[0, 0] = bad
+        with pytest.raises(DataError, match="NaN or infinite"):
+            clustering.train_filter2(x, PipelineConfig(k_min=2, k_max=4))
+
+    def test_single_cluster_sample_extended_by_missed_clusters(self, monkeypatch):
+        # 200 rows in one blob plus a tiny far-off cluster of 2 rows; with a
+        # cap of 20 the seeded sample usually holds only blob rows.
+        rng = np.random.default_rng(18)
+        x = np.vstack([rng.normal(scale=0.1, size=(200, 2)), [[100.0, 100.0], [100.0, 100.1]]])
+        cap = 20
+        seed = next(
+            s
+            for s in range(100)
+            if (derive_rng(s, TAG_SILHOUETTE_SAMPLE, 2).choice(202, size=cap, replace=False) < 200).all()
+        )
+        rows_scored = []
+        real = clustering.silhouette_mean
+
+        def recording(matrix, assignments):
+            rows_scored.append(len(assignments))
+            return real(matrix, assignments)
+
+        monkeypatch.setattr(clustering, "silhouette_mean", recording)
+        config = PipelineConfig(k_min=2, k_max=2, silhouette_sample_max=cap, rng_seed=seed)
+        model = clustering.train_filter2(x, config)
+        missed = 2
+        assert rows_scored == [cap + missed]
+        assert any("k=2" in note and "missed" in note for note in model.notes)
+        assert model.silhouette_by_k[2] > 0.9
+
     def test_normalized_mode_stores_scales(self):
         rng = np.random.default_rng(15)
         x, _ = _blobs(rng, [(0.0, 0.0), (8.0, 8.0)], per_blob=25)
@@ -175,6 +216,123 @@ class TestTrainFilter2:
         model = clustering.train_filter2(x, config)
         assert model.per_cluster_std is not None
         assert (model.per_cluster_std > 0).all()
+
+
+def masked_mean_lloyd(x: np.ndarray, centroids: np.ndarray) -> clustering.KMeansResult:
+    """Lloyd's iteration with per-cluster boolean-mask means, the reference
+    the sorted-slice centroid update must reproduce bit for bit."""
+    n, _ = x.shape
+    k = centroids.shape[0]
+    centroids = centroids.copy()
+    history = []
+    for _ in range(clustering.KMEANS_MAX_ITER):
+        sq = pairwise_sq_dists(x, centroids)
+        assignments = sq.argmin(axis=1)
+        closest_sq = sq[np.arange(n), assignments]
+        counts = np.bincount(assignments, minlength=k)
+        if (counts == 0).any():
+            spare = closest_sq.copy()
+            for empty in np.flatnonzero(counts == 0):
+                farthest = int(spare.argmax())
+                centroids[empty] = x[farthest]
+                spare[farthest] = -1.0
+            sq = pairwise_sq_dists(x, centroids)
+            assignments = sq.argmin(axis=1)
+            closest_sq = sq[np.arange(n), assignments]
+            counts = np.bincount(assignments, minlength=k)
+        history.append(float(closest_sq.sum()))
+        new_centroids = centroids.copy()
+        for c in range(k):
+            if counts[c] > 0:
+                new_centroids[c] = x[assignments == c].mean(axis=0)
+        shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
+        centroids = new_centroids
+        if shift < clustering.KMEANS_SHIFT_TOL:
+            break
+    sq = pairwise_sq_dists(x, centroids)
+    assignments = sq.argmin(axis=1)
+    inertia = float(sq[np.arange(n), assignments].sum())
+    return clustering.KMeansResult(centroids, assignments, inertia, history)
+
+
+def one_clustering_silhouette(x: np.ndarray, assignments: np.ndarray) -> float:
+    """Mean silhouette of one clustering, chunk by chunk, with the same
+    arithmetic as the shared pass; the reference it must reproduce."""
+    labels, relabeled = np.unique(assignments, return_inverse=True)
+    k = labels.shape[0]
+    n = x.shape[0]
+    counts = np.bincount(relabeled, minlength=k).astype(float)
+    membership = np.zeros((n, k))
+    membership[np.arange(n), relabeled] = 1.0
+    scores = np.zeros(n)
+    for start in range(0, n, 512):
+        stop = min(start + 512, n)
+        if n <= 2048:
+            diff = x[start:stop, None, :] - x[None, :, :]
+            dists = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        else:
+            dists = pairwise_dists(x[start:stop], x)
+        cluster_sums = dists @ membership
+        own = relabeled[start:stop]
+        rows = np.arange(stop - start)
+        own_counts = counts[own]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            a = cluster_sums[rows, own] / np.maximum(own_counts - 1.0, 1.0)
+            mean_other = cluster_sums / counts[None, :]
+            mean_other[rows, own] = np.inf
+            b = mean_other.min(axis=1)
+            denom = np.maximum(a, b)
+            s = np.where(denom > 0.0, (b - a) / np.where(denom > 0.0, denom, 1.0), 0.0)
+        scores[start:stop] = np.where(own_counts > 1.0, s, 0.0)
+    return float(scores.mean())
+
+
+class TestExactness:
+    """The fast paths must equal the straightforward computations exactly."""
+
+    @pytest.mark.parametrize("n", [511, 512, 513, 2048, 2049])
+    def test_shared_silhouette_pass_equals_per_k_scores(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, 3))
+        assignment_sets = [rng.integers(0, k, size=n) for k in range(2, 7)]
+        assignment_sets.append(np.where(np.arange(n) == 5, 1, 0))  # a singleton cluster
+        shared = clustering.silhouette_means(x, assignment_sets)
+        per_k = [clustering.silhouette_mean(x, a) for a in assignment_sets]
+        reference = [one_clustering_silhouette(x, a) for a in assignment_sets]
+        assert shared == per_k == reference
+
+    def test_sweep_keeps_the_fit_at_k_star(self):
+        rng = np.random.default_rng(19)
+        x, _ = _blobs(rng, [(0.0, 0.0), (7.0, 0.0), (0.0, 7.0), (7.0, 7.0)], per_blob=40, spread=1.5)
+        config = PipelineConfig(k_min=2, k_max=8, rng_seed=23)
+        model = clustering.train_filter2(x, config)
+        refit = clustering.kmeans_fit(x, model.k_star, clustering.seed_for_k(23, model.k_star))
+        assert np.array_equal(model.centroids, refit.centroids)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lloyd_equals_masked_mean_lloyd(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(int(rng.integers(40, 400)), int(rng.integers(1, 9)))) * rng.uniform(0.01, 50)
+        k = int(rng.integers(2, 12))
+        init = clustering._plus_plus_init(x, k, rng, np.einsum("ij,ij->i", x, x))
+        self._assert_same_run(x, init)
+
+    def test_lloyd_equals_masked_mean_lloyd_with_empty_cluster_reseed(self):
+        rng = np.random.default_rng(20)
+        x = rng.normal(size=(150, 4))
+        init = np.vstack([x[:3], np.full((1, 4), 1e3)])
+        # no row is nearest the far-off centroid, so it must be reseeded
+        assert (pairwise_sq_dists(x, init).argmin(axis=1) != 3).all()
+        self._assert_same_run(x, init)
+
+    @staticmethod
+    def _assert_same_run(x, init):
+        got = clustering._lloyd(x, init, np.einsum("ij,ij->i", x, x))
+        want = masked_mean_lloyd(x, init)
+        assert np.array_equal(got.centroids, want.centroids)
+        assert np.array_equal(got.assignments, want.assignments)
+        assert got.inertia == want.inertia
+        assert got.inertia_history == want.inertia_history
 
 
 class TestClusterThresholds:
@@ -328,3 +486,38 @@ class TestSerialization:
         assert np.array_equal(loaded.centroids, model.centroids)
         assert loaded.per_cluster_thresholds == [0.4, 0.6]
         assert loaded.silhouette_by_k == {2: 0.8}
+
+    def _payload(self, **changes):
+        payload = {
+            "schema_version": 1,
+            "k_star": 2,
+            "centroids": [[0.0, 1.0], [2.0, 3.0]],
+            "per_cluster_thresholds": [0.4, 0.6],
+            "distance_mode": "normalized_euclidean",
+            "feature_space": "all",
+            "per_cluster_mean": [[0.0, 1.0], [2.0, 3.0]],
+            "per_cluster_std": [[1.0, 1.0], [1.0, 1.0]],
+        }
+        payload.update(changes)
+        return payload
+
+    def test_well_formed_payload_loads(self):
+        model = clustering.Filter2Model.from_dict(self._payload())
+        assert model.per_cluster_std.shape == (2, 2)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"centroids": [[0.0, 1.0], [2.0]]},
+            {"centroids": [0.0, 1.0]},
+            {"centroids": [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]},
+            {"per_cluster_thresholds": [0.4]},
+            {"per_cluster_thresholds": 0.4},
+            {"per_cluster_mean": [[0.0, 1.0]]},
+            {"per_cluster_std": [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]},
+            {"per_cluster_std": [[1.0, "x"], [1.0, 1.0]]},
+        ],
+    )
+    def test_inconsistent_payload_is_schema_error(self, changes):
+        with pytest.raises(SchemaError):
+            clustering.Filter2Model.from_dict(self._payload(**changes))
