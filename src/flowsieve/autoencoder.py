@@ -18,10 +18,11 @@ import numpy as np
 
 from .config import PipelineConfig
 from .encode import EncodingRecipe, FeatureMatrix
-from .errors import DataError, NumericError, SchemaError
+from .errors import DataError, NumericError, SchemaError, artifact_field
 from .stats import TAG_AE_INIT, TAG_AE_SHUFFLE, derive_rng, nearest_rank_percentile
 
 MODEL_SCHEMA_VERSION = 1
+_ARTIFACT = "frequency-filter"
 
 ADAM_STEP_SIZE = 0.001
 ADAM_BETA1 = 0.9
@@ -79,12 +80,31 @@ class Filter1Model:
         version = data.get("schema_version")
         if version != MODEL_SCHEMA_VERSION:
             raise SchemaError(f"unsupported frequency-filter schema version: {version!r}")
+        dims = artifact_field(data, "layer_dims", lambda v: [int(d) for d in v], _ARTIFACT)
+        weights = artifact_field(data, "weights", _float_arrays, _ARTIFACT)
+        biases = artifact_field(data, "biases", _float_arrays, _ARTIFACT)
+        seed = artifact_field(data, "seed", int, _ARTIFACT)
+        if len(dims) < 2 or len(weights) != len(dims) - 1 or len(biases) != len(dims) - 1:
+            raise SchemaError(
+                f"{len(dims)} layer_dims need {max(len(dims) - 1, 0)} weight matrices and bias "
+                f"vectors, got {len(weights)} and {len(biases)}"
+            )
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            if w.shape != (dims[i], dims[i + 1]):
+                raise SchemaError(f"weights[{i}] must have shape {(dims[i], dims[i + 1])}, got {w.shape}")
+            if b.shape != (dims[i + 1],):
+                raise SchemaError(f"biases[{i}] must have shape {(dims[i + 1],)}, got {b.shape}")
+        recipe = None if data.get("recipe") is None else EncodingRecipe.from_dict(data["recipe"])
+        if recipe is not None and recipe.dimension != dims[0]:
+            raise SchemaError(
+                f"recipe encodes {recipe.dimension} columns but layer_dims[0] is {dims[0]}"
+            )
         return cls(
-            layer_dims=[int(v) for v in data["layer_dims"]],
-            weights=[np.asarray(w, dtype=float) for w in data["weights"]],
-            biases=[np.asarray(b, dtype=float) for b in data["biases"]],
-            seed=int(data["seed"]),
-            recipe=None if data.get("recipe") is None else EncodingRecipe.from_dict(data["recipe"]),
+            layer_dims=dims,
+            weights=weights,
+            biases=biases,
+            seed=seed,
+            recipe=recipe,
             th_frequent=data.get("th_frequent"),
             training_history=[float(v) for v in data.get("training_history", [])],
         )
@@ -95,6 +115,10 @@ class Filter1Model:
     @classmethod
     def load(cls, path: str | Path) -> "Filter1Model":
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+
+
+def _float_arrays(value) -> list[np.ndarray]:
+    return [np.asarray(a, dtype=float) for a in value]
 
 
 _BIAS_INIT = 0.01  # small positive: keeps ReLU paths alive and off the kink

@@ -37,6 +37,13 @@ CLEANSING_REPORT = "cleansing_report.json"
 FILTER1_FILE = "filter1.json"
 FILTER2_FILE = "filter2.json"
 
+# Columns ingest fills and detect needs on every row, with their record fields.
+_ENRICHED_COLUMNS = {
+    "inter_arrival_time_milliseconds": "inter_arrival_time_milliseconds",
+    "same_dest_port_count_pool": "same_dest_port_count_pool",
+    "same_dest_IP_count_pool": "same_dest_ip_count_pool",
+}
+
 
 class UsageError(FlowSieveError):
     pass
@@ -293,6 +300,24 @@ VERDICT_HEADER = [
 ]
 
 
+def _require_enriched(records: list[FlowRecord]) -> None:
+    """Refuse detect input that lacks a value ingest fills in.
+
+    Ingest computes the inter-arrival time and the pool counters (or drops
+    the row); the recipe would silently encode an absent one as 0, so the
+    model would see data prepared differently from its training data.
+    """
+    missing = {
+        column: sum(1 for record in records if getattr(record, attribute) is None)
+        for column, attribute in _ENRICHED_COLUMNS.items()
+    }
+    lacking = [f"{column} in {count} rows" for column, count in missing.items() if count]
+    if lacking:
+        raise DataError(
+            f"detect input of {len(records)} rows lacks {', '.join(lacking)}; run ingest on it first"
+        )
+
+
 def _cmd_detect(args) -> int:
     config = _build_config(args)
     filter1, filter2 = _load_models(Path(args.models))
@@ -300,6 +325,7 @@ def _cmd_detect(args) -> int:
     records, _ = ingest.parse_dataset(Path(args.input))
     if not records:
         raise DataError("no parseable rows in input")
+    _require_enriched(records)
     verdicts = pipeline.classify_flows(trained, records, _detect_mode(args, trained.config))
     rows = [VERDICT_HEADER]
     for record, verdict in zip(records, verdicts):

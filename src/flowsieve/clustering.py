@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import ClusteringFeatures, DistanceMode, PipelineConfig
 from .encode import FeatureMatrix, PcaBasis
-from .errors import DataError, DegenerateDataError, SchemaError
+from .errors import DataError, DegenerateDataError, SchemaError, artifact_field
 from .stats import (
     TAG_KMEANS,
     TAG_SILHOUETTE_SAMPLE,
@@ -31,6 +31,7 @@ from .stats import (
 )
 
 FILTER2_SCHEMA_VERSION = 1
+_ARTIFACT = "cluster-filter"
 
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 300
@@ -265,8 +266,8 @@ class Filter2Model:
         version = data.get("schema_version")
         if version != FILTER2_SCHEMA_VERSION:
             raise SchemaError(f"unsupported cluster-filter schema version: {version!r}")
-        k_star = int(data["k_star"])
-        centroids = _artifact_array(data, "centroids")
+        k_star = artifact_field(data, "k_star", int, _ARTIFACT)
+        centroids = artifact_field(data, "centroids", _float_array, _ARTIFACT)
         if centroids.ndim != 2 or centroids.shape[0] != k_star:
             raise SchemaError(
                 f"centroids must be a matrix of k_star={k_star} rows, got shape {centroids.shape}"
@@ -276,7 +277,7 @@ class Filter2Model:
             raise SchemaError(f"per_cluster_thresholds must hold k_star={k_star} values")
         scales = {}
         for key in ("per_cluster_mean", "per_cluster_std"):
-            scale = None if data.get(key) is None else _artifact_array(data, key)
+            scale = None if data.get(key) is None else artifact_field(data, key, _float_array, _ARTIFACT)
             if scale is not None and scale.shape != centroids.shape:
                 raise SchemaError(
                     f"{key} must match the centroids' shape {centroids.shape}, got {scale.shape}"
@@ -286,8 +287,8 @@ class Filter2Model:
             k_star=k_star,
             centroids=centroids,
             per_cluster_thresholds=thresholds,
-            distance_mode=DistanceMode(data["distance_mode"]),
-            feature_space=ClusteringFeatures(data["feature_space"]),
+            distance_mode=artifact_field(data, "distance_mode", DistanceMode, _ARTIFACT),
+            feature_space=artifact_field(data, "feature_space", ClusteringFeatures, _ARTIFACT),
             per_cluster_mean=scales["per_cluster_mean"],
             per_cluster_std=scales["per_cluster_std"],
             pca_basis=None if data.get("pca_basis") is None else PcaBasis.from_dict(data["pca_basis"]),
@@ -303,11 +304,8 @@ class Filter2Model:
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def _artifact_array(data: dict, key: str) -> np.ndarray:
-    try:
-        return np.asarray(data[key], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{key} is not a numeric array: {exc}") from exc
+def _float_array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
 
 
 def train_filter2(matrix: Union[FeatureMatrix, np.ndarray], config: PipelineConfig) -> Filter2Model:

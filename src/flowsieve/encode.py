@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .config import ClusteringFeatures, IpTreatment, NumericTreatment, PipelineConfig
-from .errors import ConfigError, DataError, SchemaError
+from .errors import ConfigError, DataError, SchemaError, artifact_field
 from .records import TCP_BIT_NAMES, FlowRecord
 
 OTHER = "OTHER"
@@ -112,11 +112,18 @@ class EncodingRecipe:
         if version != RECIPE_SCHEMA_VERSION:
             raise SchemaError(f"unsupported recipe schema version: {version!r}")
         return cls(
-            ip_treatment=IpTreatment(data["ip_treatment"]),
-            numeric_treatment=NumericTreatment(data["numeric_treatment"]),
-            vocabularies={k: tuple(v) for k, v in data["vocabularies"].items()},
-            numeric_stats={k: (float(v[0]), float(v[1])) for k, v in data["numeric_stats"].items()},
-            columns=tuple(data["columns"]),
+            ip_treatment=artifact_field(data, "ip_treatment", IpTreatment, "recipe"),
+            numeric_treatment=artifact_field(data, "numeric_treatment", NumericTreatment, "recipe"),
+            vocabularies=artifact_field(
+                data, "vocabularies", lambda v: {k: tuple(w) for k, w in v.items()}, "recipe"
+            ),
+            numeric_stats=artifact_field(
+                data,
+                "numeric_stats",
+                lambda v: {k: (float(w[0]), float(w[1])) for k, w in v.items()},
+                "recipe",
+            ),
+            columns=artifact_field(data, "columns", tuple, "recipe"),
         )
 
 
@@ -258,11 +265,14 @@ class PcaBasis:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PcaBasis":
+        def array(key: str) -> np.ndarray:
+            return artifact_field(data, key, lambda v: np.asarray(v, dtype=float), "PCA basis")
+
         return cls(
-            mean=np.asarray(data["mean"], dtype=float),
-            components=np.asarray(data["components"], dtype=float),
-            explained_variance_ratio=np.asarray(data["explained_variance_ratio"], dtype=float),
-            retained=int(data["retained"]),
+            mean=array("mean"),
+            components=array("components"),
+            explained_variance_ratio=array("explained_variance_ratio"),
+            retained=artifact_field(data, "retained", int, "PCA basis"),
         )
 
 

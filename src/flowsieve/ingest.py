@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from math import isfinite
 from pathlib import Path
 from typing import IO, Iterable, Optional, Union
 
@@ -20,6 +22,7 @@ from .records import (
     FlowRecord,
     LabelClass,
     PartitionTag,
+    copy_record,
     flow_start_ms,
     split_flow_start,
 )
@@ -111,6 +114,16 @@ def _parse_int(cell: str, what: str) -> int:
         raise ValueError(f"unparsable numeric {what}") from None
 
 
+def _parse_float(cell: str, what: str) -> float:
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ValueError(f"unparsable numeric {what}") from None
+    if not isfinite(value):
+        raise ValueError(f"non-finite numeric {what}")
+    return value
+
+
 def _parse_bool(cell: str, what: str) -> bool:
     key = cell.strip().lower()
     if key in _TRUE_STRINGS:
@@ -118,6 +131,20 @@ def _parse_bool(cell: str, what: str) -> bool:
     if key in _FALSE_STRINGS:
         return False
     raise ValueError(f"unparsable boolean {what}")
+
+
+def _parse_label(cell: str) -> LabelClass:
+    try:
+        return LabelClass.parse(cell)
+    except ValueError:
+        raise ValueError("unknown actual_label") from None
+
+
+def _parse_partition(cell: str) -> PartitionTag:
+    try:
+        return PartitionTag.parse(cell)
+    except ValueError:
+        raise ValueError("unknown partition") from None
 
 
 def parse_dataset(source: Union[str, Path, bytes, IO]) -> tuple[list[FlowRecord], ParseReport]:
@@ -135,6 +162,10 @@ def parse_dataset(source: Union[str, Path, bytes, IO]) -> tuple[list[FlowRecord]
             stream.close()
 
 
+# Columns a row is read from, in the order _row_to_record takes them.
+_PARSED_COLUMNS = CANONICAL_COLUMNS + (DESTINATION_PORT_COLUMN,)
+
+
 def _parse_stream(stream: IO[str]) -> tuple[list[FlowRecord], ParseReport]:
     reader = csv.reader(stream)
     try:
@@ -147,107 +178,112 @@ def _parse_stream(stream: IO[str]) -> tuple[list[FlowRecord], ParseReport]:
     if missing:
         raise SchemaError(f"header is missing mandatory columns: {', '.join(missing)}")
 
-    def col(name: str) -> Optional[int]:
-        return positions.get(name.lower())
-
-    idx = {name: col(name) for name in CANONICAL_COLUMNS}
-    idx[DESTINATION_PORT_COLUMN] = col(DESTINATION_PORT_COLUMN)
-
-    def cell(row: list[str], name: str) -> str:
-        position = idx[name]
-        if position is None or position >= len(row):
-            return ""
-        return row[position].strip()
+    # Every row is padded to `width` and gets one blank cell appended, so a
+    # short row reads "" past its end and an absent column reads the
+    # appended cell at index -1.
+    picks = [positions.get(name.lower(), -1) for name in _PARSED_COLUMNS]
+    width = max(picks) + 1
+    pick = operator.itemgetter(*picks)
+    strip = str.strip
+    row_to_record = _row_converter()
 
     records: list[FlowRecord] = []
     report = ParseReport()
     for row_index, row in enumerate(reader, start=1):
-        if not any(piece.strip() for piece in row):
+        if not "".join(row).strip():
             continue
         report.rows_read += 1
+        if len(row) < width:
+            row.extend([""] * (width - len(row)))
+        row.append("")
         try:
-            records.append(_row_to_record(row, cell))
+            records.append(row_to_record(*map(strip, pick(row))))
         except ValueError as exc:
             report.reject(row_index, str(exc))
     return records, report
 
 
-def _row_to_record(row: list[str], cell) -> FlowRecord:
-    day = _parse_int(cell(row, "flow_start_day"), "flow_start_day")
-    hour = _parse_int(cell(row, "flow_start_hour"), "flow_start_hour")
-    minute = _parse_int(cell(row, "flow_start_minute"), "flow_start_minute")
-    second = _parse_int(cell(row, "flow_start_second"), "flow_start_second")
-    millisecond = _parse_int(cell(row, "flow_start_millisecond"), "flow_start_millisecond")
+_UNSEEN = object()
 
-    iat_cell = cell(row, "inter_arrival_time_milliseconds")
-    port_cell = cell(row, DESTINATION_PORT_COLUMN)
-    port_pool_cell = cell(row, "same_dest_port_count_pool")
-    ip_pool_cell = cell(row, "same_dest_IP_count_pool")
-    dns_pct_cell = cell(row, "DNS_host_percentage_of_numerical_chars_from_pool")
-    prefix_cell = cell(row, "network_prefix_of_destination_IP_address_anonimized")
-    label_cell = cell(row, "actual_label")
-    partition_cell = cell(row, "partition")
 
-    try:
-        avg_packet_size = float(cell(row, "avg_packet_size"))
-    except ValueError:
-        raise ValueError("unparsable numeric avg_packet_size") from None
-    if dns_pct_cell:
+def _row_converter():
+    """Return a row-to-record function over stripped cells in
+    _PARSED_COLUMNS order, with its own memo of the label, partition and
+    boolean cells it has parsed (failed parses are not remembered).
+
+    Fields are checked in a fixed order, so a row with several bad cells
+    is rejected for the first of them.
+    """
+    labels = {"": LabelClass.ASSUMED_BENIGN}
+    partitions: dict[str, Optional[PartitionTag]] = {"": None}
+    booleans: dict[str, bool] = {}
+
+    def _row_to_record(
+        device, day, hour, minute, second, millisecond, network, protocol, duration,
+        octets, packets, avg_size, end_reason, tcp_bits, net_class, prefix, iat,
+        reputation, port_pool, ip_pool, dns_flag, dns_pct, label, partition, port,
+    ) -> FlowRecord:
         try:
-            dns_pct: Optional[float] = float(dns_pct_cell)
+            flow_start = flow_start_ms(int(day), int(hour), int(minute), int(second), int(millisecond))
         except ValueError:
-            raise ValueError("unparsable numeric DNS_host_percentage_of_numerical_chars_from_pool") from None
-    else:
-        dns_pct = None
+            flow_start = flow_start_ms(
+                _parse_int(day, "flow_start_day"),
+                _parse_int(hour, "flow_start_hour"),
+                _parse_int(minute, "flow_start_minute"),
+                _parse_int(second, "flow_start_second"),
+                _parse_int(millisecond, "flow_start_millisecond"),
+            )
 
-    if label_cell:
-        try:
-            label = LabelClass.parse(label_cell)
-        except ValueError:
-            raise ValueError("unknown actual_label") from None
-    else:
-        label = LabelClass.ASSUMED_BENIGN
-    if partition_cell:
-        try:
-            partition: Optional[PartitionTag] = PartitionTag.parse(partition_cell)
-        except ValueError:
-            raise ValueError("unknown partition") from None
-    else:
-        partition = None
+        avg_packet_size = _parse_float(avg_size, "avg_packet_size")
+        dns_pct_value = (
+            _parse_float(dns_pct, "DNS_host_percentage_of_numerical_chars_from_pool")
+            if dns_pct
+            else None
+        )
+        actual_label = labels.get(label)
+        if actual_label is None:
+            actual_label = labels[label] = _parse_label(label)
+        tag = partitions.get(partition, _UNSEEN)
+        if tag is _UNSEEN:
+            tag = partitions[partition] = _parse_partition(partition)
 
-    return FlowRecord(
-        device_id=_parse_int(cell(row, "device_id"), "device_id"),
-        source_network_id=_parse_int(cell(row, "source_network_id"), "source_network_id"),
-        flow_start=flow_start_ms(day, hour, minute, second, millisecond),
-        protocol_identifier=_parse_int(cell(row, "protocol_identifier"), "protocol_identifier"),
-        flow_duration_milliseconds=_parse_int(
-            cell(row, "flow_duration_milliseconds"), "flow_duration_milliseconds"
-        ),
-        octet_delta_count=_parse_int(cell(row, "octet_delta_count"), "octet_delta_count"),
-        packet_delta_count=_parse_int(cell(row, "packet_delta_count"), "packet_delta_count"),
-        avg_packet_size=avg_packet_size,
-        flow_end_reason=cell(row, "flow_end_reason"),
-        tcp_control_bits=_parse_int(cell(row, "tcp_control_bits"), "tcp_control_bits"),
-        network_class_of_destination=cell(row, "network_class_of_destination_IP_address"),
-        destination_network_prefix=prefix_cell or None,
-        inter_arrival_time_milliseconds=_parse_int(iat_cell, "inter_arrival_time_milliseconds")
-        if iat_cell
-        else None,
-        reputation_status=cell(row, "reputation_status"),
-        same_dest_port_count_pool=_parse_int(port_pool_cell, "same_dest_port_count_pool")
-        if port_pool_cell
-        else None,
-        same_dest_ip_count_pool=_parse_int(ip_pool_cell, "same_dest_IP_count_pool")
-        if ip_pool_cell
-        else None,
-        has_dns_request_from_pool=_parse_bool(
-            cell(row, "has_DNS_request_from_pool"), "has_DNS_request_from_pool"
-        ),
-        dns_host_pct_numerical_chars=dns_pct,
-        actual_label=label,
-        partition=partition,
-        destination_port=_parse_int(port_cell, DESTINATION_PORT_COLUMN) if port_cell else None,
-    )
+        try:
+            device_id, network_id, protocol_id, duration_ms, octet_count, packet_count, tcp = (
+                int(device), int(network), int(protocol), int(duration),
+                int(octets), int(packets), int(tcp_bits),
+            )
+            iat_ms = int(iat) if iat else None
+            port_count = int(port_pool) if port_pool else None
+            ip_count = int(ip_pool) if ip_pool else None
+        except ValueError:
+            device_id, network_id, protocol_id, duration_ms, octet_count, packet_count, tcp = (
+                _parse_int(device, "device_id"),
+                _parse_int(network, "source_network_id"),
+                _parse_int(protocol, "protocol_identifier"),
+                _parse_int(duration, "flow_duration_milliseconds"),
+                _parse_int(octets, "octet_delta_count"),
+                _parse_int(packets, "packet_delta_count"),
+                _parse_int(tcp_bits, "tcp_control_bits"),
+            )
+            iat_ms = _parse_int(iat, "inter_arrival_time_milliseconds") if iat else None
+            port_count = _parse_int(port_pool, "same_dest_port_count_pool") if port_pool else None
+            ip_count = _parse_int(ip_pool, "same_dest_IP_count_pool") if ip_pool else None
+        has_dns = booleans.get(dns_flag)
+        if has_dns is None:
+            has_dns = booleans[dns_flag] = _parse_bool(dns_flag, "has_DNS_request_from_pool")
+        try:
+            port_number = int(port) if port else None
+        except ValueError:
+            port_number = _parse_int(port, DESTINATION_PORT_COLUMN)
+
+        return FlowRecord(
+            device_id, network_id, flow_start, protocol_id, duration_ms, octet_count,
+            packet_count, avg_packet_size, end_reason, tcp, net_class, prefix or None,
+            iat_ms, reputation, port_count, ip_count, has_dns, dns_pct_value, actual_label,
+            tag, port_number,
+        )
+
+    return _row_to_record
 
 
 def record_to_row(record: FlowRecord, include_port: bool) -> list[str]:
@@ -310,22 +346,22 @@ def compute_iat(flows: list[FlowRecord]) -> list[FlowRecord]:
     The first flow of each device gets an absent IAT. Input order is
     preserved in the returned list.
     """
+    starts = [flow.flow_start for flow in flows]
     order: dict[int, list[int]] = {}
     for index, flow in enumerate(flows):
         order.setdefault(flow.device_id, []).append(index)
     result: list[Optional[int]] = [None] * len(flows)
     for indices in order.values():
-        indices.sort(key=lambda i: (flows[i].flow_start, i))
-        previous: Optional[int] = None
-        for i in indices:
-            if previous is None:
-                result[i] = None
-            else:
-                result[i] = flows[i].flow_start - flows[previous].flow_start
-            previous = i
+        # indices ascend, so the stable sort breaks start-time ties by index
+        indices.sort(key=starts.__getitem__)
+        previous = starts[indices[0]]
+        for i in indices[1:]:
+            start = starts[i]
+            result[i] = start - previous
+            previous = start
     return [
-        replace(flow, inter_arrival_time_milliseconds=result[i])
-        for i, flow in enumerate(flows)
+        copy_record(flow, inter_arrival_time_milliseconds=iat)
+        for flow, iat in zip(flows, result)
     ]
 
 
@@ -346,17 +382,18 @@ def compute_pool_features(flows: list[FlowRecord]) -> list[FlowRecord]:
         if flow.destination_network_prefix is not None:
             prefix_counts.setdefault(hour, Counter())[flow.destination_network_prefix] += 1
 
+    empty: Counter = Counter()
     out = []
     for flow in flows:
         window = flow.hour_index - 1
         port_count = 0
         if flow.destination_port is not None:
-            port_count = port_counts.get(window, Counter()).get(flow.destination_port, 0)
+            port_count = port_counts.get(window, empty).get(flow.destination_port, 0)
         prefix_count = 0
         if flow.destination_network_prefix is not None:
-            prefix_count = prefix_counts.get(window, Counter()).get(flow.destination_network_prefix, 0)
+            prefix_count = prefix_counts.get(window, empty).get(flow.destination_network_prefix, 0)
         out.append(
-            replace(
+            copy_record(
                 flow,
                 same_dest_port_count_pool=port_count,
                 same_dest_ip_count_pool=prefix_count,
@@ -409,7 +446,7 @@ def preprocess(flows: list[FlowRecord]) -> tuple[list[FlowRecord], CleanseReport
             continue
         if flow.same_dest_port_count_pool is None or flow.same_dest_ip_count_pool is None:
             report.pool_zero_filled += 1
-            flow = replace(
+            flow = copy_record(
                 flow,
                 same_dest_port_count_pool=flow.same_dest_port_count_pool or 0,
                 same_dest_ip_count_pool=flow.same_dest_ip_count_pool or 0,
@@ -491,7 +528,7 @@ def partition_chronologically(
     training: list[FlowRecord] = []
     validation: list[FlowRecord] = []
     test: list[FlowRecord] = []
-    for flow in sorted(flows, key=lambda f: (f.flow_start, f.device_id)):
+    for flow in sorted(flows, key=operator.attrgetter("flow_start", "device_id")):
         day = flow.day_index
         if day >= test_end:
             dropped["beyond requested span"] += 1
@@ -500,7 +537,7 @@ def partition_chronologically(
             if flow.source_network_id != lab_network_id:
                 dropped["non-lab flow in test window"] += 1
                 continue
-            test.append(replace(flow, partition=PartitionTag.TEST))
+            test.append(copy_record(flow, partition=PartitionTag.TEST))
             continue
         if flow.source_network_id == lab_network_id:
             dropped["lab flow outside test window"] += 1
@@ -509,7 +546,7 @@ def partition_chronologically(
             dropped["attack label outside test window"] += 1
             continue
         if day >= train_end:
-            validation.append(replace(flow, partition=PartitionTag.VALIDATION))
+            validation.append(copy_record(flow, partition=PartitionTag.VALIDATION))
         else:
-            training.append(replace(flow, partition=PartitionTag.TRAINING))
+            training.append(copy_record(flow, partition=PartitionTag.TRAINING))
     return PartitionResult(training, validation, test, dropped)

@@ -138,14 +138,14 @@ class TestErrorPaths:
         bad.write_text("a,b,c\n1,2,3\n")
         assert main(["ingest", "--input", str(bad), "--outdir", str(tmp_path)]) == 2
 
-    def _detect_with_edited_filter2(self, workdir, tmp_path, edit):
+    def _detect_with_edited_filter2(self, workdir, tmp_path, edit, artifact="filter2.json"):
         models = tmp_path / "models"
         models.mkdir()
         for name in ("filter1.json", "filter2.json"):
             (models / name).write_bytes((workdir / "models" / name).read_bytes())
-        payload = json.loads((models / "filter2.json").read_text())
+        payload = json.loads((models / artifact).read_text())
         edit(payload)
-        (models / "filter2.json").write_text(json.dumps(payload))
+        (models / artifact).write_text(json.dumps(payload))
         return main(
             [
                 "detect",
@@ -167,6 +167,86 @@ class TestErrorPaths:
             payload["centroids"][0] = payload["centroids"][0][:-1]
 
         assert self._detect_with_edited_filter2(workdir, tmp_path, ragged) == 2
+
+    @pytest.mark.parametrize("key", ["k_star", "centroids", "distance_mode", "feature_space"])
+    def test_filter2_missing_key_is_schema_error(self, workdir, tmp_path, key):
+        assert self._detect_with_edited_filter2(workdir, tmp_path, lambda p: p.pop(key)) == 2
+
+    @pytest.mark.parametrize("key", ["distance_mode", "feature_space"])
+    def test_filter2_unknown_enum_value_is_schema_error(self, workdir, tmp_path, key):
+        def unknown(payload):
+            payload[key] = "manhattan"
+
+        assert self._detect_with_edited_filter2(workdir, tmp_path, unknown) == 2
+
+    def _detect_with_edited_filter1(self, workdir, tmp_path, edit):
+        return self._detect_with_edited_filter2(workdir, tmp_path, edit, artifact="filter1.json")
+
+    @pytest.mark.parametrize("key", ["layer_dims", "weights", "biases", "seed"])
+    def test_filter1_missing_key_is_schema_error(self, workdir, tmp_path, key):
+        assert self._detect_with_edited_filter1(workdir, tmp_path, lambda p: p.pop(key)) == 2
+
+    def test_filter1_weight_shape_is_checked(self, workdir, tmp_path, capsys):
+        def drop_column(payload):
+            payload["weights"][1] = [row[:-1] for row in payload["weights"][1]]
+
+        assert self._detect_with_edited_filter1(workdir, tmp_path, drop_column) == 2
+        assert "weights[1] must have shape" in capsys.readouterr().err
+
+    def test_filter1_bias_shape_is_checked(self, workdir, tmp_path, capsys):
+        def drop_entry(payload):
+            payload["biases"][2] = payload["biases"][2][:-1]
+
+        assert self._detect_with_edited_filter1(workdir, tmp_path, drop_entry) == 2
+        assert "biases[2] must have shape" in capsys.readouterr().err
+
+    def test_filter1_recipe_dimension_is_checked(self, workdir, tmp_path, capsys):
+        def drop_recipe_column(payload):
+            payload["recipe"]["columns"] = payload["recipe"]["columns"][:-1]
+
+        assert self._detect_with_edited_filter1(workdir, tmp_path, drop_recipe_column) == 2
+        assert "layer_dims[0]" in capsys.readouterr().err
+
+    def test_detect_refuses_rows_without_inter_arrival_time(self, workdir, tmp_path, capsys):
+        # the raw capture leaves the first flow of each device without an
+        # inter-arrival time; ingest drops those rows
+        out = tmp_path / "verdicts.csv"
+        code = main(
+            [
+                "detect",
+                "--models", str(workdir / "models"),
+                "--input", str(workdir / "synthetic.csv"),
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert not out.exists()
+        with open(workdir / "synthetic.csv", newline="") as stream:
+            lacking = sum(1 for row in csv.DictReader(stream) if not row["inter_arrival_time_milliseconds"])
+        assert lacking > 0
+        error = capsys.readouterr().err
+        assert f"inter_arrival_time_milliseconds in {lacking} rows" in error
+        assert "same_dest_port_count_pool" not in error
+
+    def test_detect_refuses_rows_without_pool_counter(self, workdir, tmp_path, capsys):
+        with open(workdir / "data" / "test.csv", newline="") as stream:
+            rows = list(csv.reader(stream))
+        column = rows[0].index("same_dest_IP_count_pool")
+        for row in rows[1:4]:
+            row[column] = ""
+        edited = tmp_path / "test.csv"
+        with open(edited, "w", newline="") as stream:
+            csv.writer(stream, lineterminator="\n").writerows(rows)
+        code = main(
+            [
+                "detect",
+                "--models", str(workdir / "models"),
+                "--input", str(edited),
+                "--out", str(tmp_path / "verdicts.csv"),
+            ]
+        )
+        assert code == 2
+        assert "same_dest_IP_count_pool in 3 rows" in capsys.readouterr().err
 
     def test_no_partial_outputs_on_failure(self, tmp_path, workdir):
         # train with an un-trainable configuration must leave no artifacts

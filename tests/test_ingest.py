@@ -55,6 +55,56 @@ class TestParseDataset:
         assert len(records) == 1
         assert report.rows_rejected == 1
 
+    def _one_row_with(self, **cells) -> bytes:
+        text = _csv_bytes([make_record()]).decode("utf-8")
+        lines = text.splitlines()
+        header = lines[0].split(",")
+        row = lines[1].split(",")
+        for column, value in cells.items():
+            row[header.index(column)] = value
+        return "\n".join([lines[0], ",".join(row)]).encode("utf-8")
+
+    @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "Infinity", "1e309"])
+    @pytest.mark.parametrize(
+        "column", ["avg_packet_size", "DNS_host_percentage_of_numerical_chars_from_pool"]
+    )
+    def test_non_finite_float_rejected(self, column, value):
+        records, report = ingest.parse_dataset(self._one_row_with(**{column: value}))
+        assert records == []
+        assert report.reject_reasons == {f"non-finite numeric {column}": 1}
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "column", ["packet_delta_count", "flow_start_day", "inter_arrival_time_milliseconds"]
+    )
+    def test_non_finite_int_rejected_as_unparsable(self, column, value):
+        records, report = ingest.parse_dataset(self._one_row_with(**{column: value}))
+        assert records == []
+        assert report.reject_reasons == {f"unparsable numeric {column}": 1}
+
+    def test_integral_float_int_cell_accepted(self):
+        records, report = ingest.parse_dataset(self._one_row_with(packet_delta_count=" 3.0 "))
+        assert report.rows_rejected == 0
+        assert records[0].packet_delta_count == 3 and type(records[0].packet_delta_count) is int
+
+    def test_unparsable_boolean_rejected(self):
+        _, report = ingest.parse_dataset(self._one_row_with(has_DNS_request_from_pool="maybe"))
+        assert report.reject_reasons == {"unparsable boolean has_DNS_request_from_pool": 1}
+
+    def test_first_bad_field_names_the_reason(self):
+        # fields are checked in a fixed order: the flow start, the floats,
+        # label, partition, then the integer fields
+        payload = self._one_row_with(
+            device_id="?", actual_label="bogus", partition="bogus", avg_packet_size="nan"
+        )
+        assert ingest.parse_dataset(payload)[1].reject_reasons == {
+            "non-finite numeric avg_packet_size": 1
+        }
+        payload = self._one_row_with(device_id="?", actual_label="bogus", partition="bogus")
+        assert ingest.parse_dataset(payload)[1].reject_reasons == {"unknown actual_label": 1}
+        payload = self._one_row_with(device_id="?", has_DNS_request_from_pool="maybe")
+        assert ingest.parse_dataset(payload)[1].reject_reasons == {"unparsable numeric device_id": 1}
+
     def test_header_case_insensitive(self):
         text = _csv_bytes([make_record()]).decode("utf-8")
         lines = text.splitlines()
