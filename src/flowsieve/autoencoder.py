@@ -49,7 +49,8 @@ def layer_dimensions(input_dim: int) -> list[int]:
 
 @dataclass
 class Filter1Model:
-    """Trained frequency filter: weights, threshold and training history."""
+    """Trained frequency filter: weights, the recipe that encodes its input,
+    threshold and training history."""
 
     layer_dims: list[int]
     weights: list[np.ndarray]  # weights[l] has shape (fan_in, fan_out)
@@ -262,9 +263,6 @@ def train_filter1(
         raise DataError("training and validation matrices must share their dimension")
 
     model = build_ae(x_train.shape[1], seed=config.rng_seed)
-    recipe = training.recipe if isinstance(training, FeatureMatrix) else None
-    model.recipe = recipe
-
     state = TrainState(
         first_moments=[np.zeros_like(w) for w in model.weights],
         second_moments=[np.zeros_like(w) for w in model.weights],

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from . import ingest, pipeline
 from .autoencoder import Filter1Model
-from .clustering import Filter2Model, GlobalTanh, PerClusterThreshold
+from .clustering import Filter2Model
 from .config import PipelineConfig, load_config_file
 from .errors import ConfigError, DataError, FlowSieveError, NumericError, SchemaError
 from .experiments import run_benchmark, run_grid, sensitivity_sweep
@@ -252,13 +252,7 @@ def _pipeline_from_models(config: PipelineConfig, filter1: Filter1Model, filter2
         clustering_features=filter2.feature_space,
         distance_mode=filter2.distance_mode,
     )
-    return pipeline.TrainedPipeline(
-        config=config,
-        recipe=filter1.recipe,
-        filter1=filter1,
-        filter2=filter2,
-        runtime_seconds={},
-    )
+    return pipeline.TrainedPipeline(config=config, filter1=filter1, filter2=filter2)
 
 
 def _cmd_calibrate(args) -> int:
@@ -279,11 +273,13 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _detect_mode(args, config: PipelineConfig):
+def _detect_config(args, config: PipelineConfig) -> PipelineConfig:
+    """The verdict rule of --mode: per-cluster thresholds, or tanh against
+    --tau, else the configured threshold, else 0.75."""
     if args.mode == "per-cluster":
-        return PerClusterThreshold()
+        return config.replace(global_tanh_threshold=None)
     tau = args.tau if args.tau is not None else (config.global_tanh_threshold or 0.75)
-    return GlobalTanh(tau)
+    return config.replace(global_tanh_threshold=tau)
 
 
 VERDICT_HEADER = [
@@ -319,14 +315,14 @@ def _require_enriched(records: list[FlowRecord]) -> None:
 
 
 def _cmd_detect(args) -> int:
-    config = _build_config(args)
+    config = _detect_config(args, _build_config(args))
     filter1, filter2 = _load_models(Path(args.models))
     trained = _pipeline_from_models(config, filter1, filter2)
     records, _ = ingest.parse_dataset(Path(args.input))
     if not records:
         raise DataError("no parseable rows in input")
     _require_enriched(records)
-    verdicts = pipeline.classify_flows(trained, records, _detect_mode(args, trained.config))
+    verdicts = pipeline.classify_flows(trained, records)
     rows = [VERDICT_HEADER]
     for record, verdict in zip(records, verdicts):
         rows.append(
@@ -544,7 +540,9 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=["global-tanh", "per-cluster"], default="global-tanh")
-    p.add_argument("--tau", type=float, default=None)
+    p.add_argument(
+        "--tau", type=float, default=None, help="global tanh threshold in (0, 1); per-cluster mode ignores it"
+    )
     _add_config_options(p)
     p.set_defaults(func=_cmd_detect)
 

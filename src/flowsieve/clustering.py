@@ -465,21 +465,6 @@ def with_thresholds(model: Filter2Model, thresholds: list[float]) -> Filter2Mode
 
 
 @dataclass(frozen=True)
-class PerClusterThreshold:
-    """Compare each flow's distance against its cluster's threshold."""
-
-
-@dataclass(frozen=True)
-class GlobalTanh:
-    """Compare tanh(distance) against one global threshold."""
-
-    tau: float = 0.75
-
-
-ClassifyMode = Union[PerClusterThreshold, GlobalTanh]
-
-
-@dataclass(frozen=True)
 class ClusterScore:
     assigned_cluster: int
     distance: float
@@ -488,21 +473,22 @@ class ClusterScore:
 
 
 def score_and_classify(
-    vectors: np.ndarray, model: Filter2Model, mode: ClassifyMode
+    vectors: np.ndarray, model: Filter2Model, tau: Optional[float]
 ) -> list[ClusterScore]:
     """Assign flows to their nearest cluster and decide known vs unknown.
 
-    Both modes use a strict comparison: a flow exactly at the threshold is
-    unknown.
+    A flow is known when tanh(distance) < tau or, with tau None, when its
+    distance is below its cluster's threshold. Both comparisons are
+    strict: a flow exactly at the threshold is unknown.
     """
     x = np.atleast_2d(np.asarray(vectors, dtype=float))
     assignments, distances = assign_and_distance(model, x)
     tanh_scores = np.tanh(distances)
-    if isinstance(mode, GlobalTanh):
-        known_flags = tanh_scores < mode.tau
+    if tau is not None:
+        known_flags = tanh_scores < tau
+    elif model.per_cluster_thresholds is None:
+        raise DataError("per-cluster classification requires calibrated thresholds")
     else:
-        if model.per_cluster_thresholds is None:
-            raise DataError("per-cluster classification requires calibrated thresholds")
         th = np.asarray(model.per_cluster_thresholds, dtype=float)
         known_flags = distances < th[assignments]
     return [

@@ -134,7 +134,6 @@ class FeatureMatrix:
     values: np.ndarray  # (n, d) float64
     columns: tuple[str, ...]
     row_indices: np.ndarray  # index of each row in the originating flow list
-    recipe: Optional[EncodingRecipe] = None
 
     @property
     def n_rows(self) -> int:
@@ -152,7 +151,6 @@ class FeatureMatrix:
             values=self.values[idx],
             columns=self.columns,
             row_indices=self.row_indices[idx],
-            recipe=self.recipe,
         )
 
 
@@ -163,9 +161,18 @@ def _active_features(ip_treatment: IpTreatment):
         yield kind, name
 
 
-def _transform(values: np.ndarray, treatment: NumericTreatment) -> np.ndarray:
+def _numeric_column(flows: list[FlowRecord], name: str, treatment: NumericTreatment) -> np.ndarray:
+    """One numeric column after its treatment; a non-finite value fails,
+    naming the column and the number of rows that hold one."""
+    values = np.array([_NUMERIC_GETTERS[name](flow) for flow in flows], dtype=float)
     if treatment is NumericTreatment.LOG1P:
-        return np.log1p(values)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            values = np.log1p(values)
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:
+        raise DataError(
+            f"column {name!r} is not finite after {treatment.value} in {bad} of {len(flows)} rows"
+        )
     return values
 
 
@@ -187,9 +194,7 @@ def fit_recipe(training_flows: list[FlowRecord], config: PipelineConfig) -> Enco
             columns.extend(f"{name}={value}" for value in vocab)
             columns.append(f"{name}={OTHER}")
         elif kind == "numeric":
-            getter = _NUMERIC_GETTERS[name]
-            raw = np.array([getter(flow) for flow in training_flows], dtype=float)
-            transformed = _transform(raw, config.numeric_treatment)
+            transformed = _numeric_column(training_flows, name, config.numeric_treatment)
             numeric_stats[name] = (float(transformed.min()), float(transformed.max()))
             columns.append(name)
         else:
@@ -219,9 +224,7 @@ def apply_recipe(flows: list[FlowRecord], recipe: EncodingRecipe) -> FeatureMatr
                 values[row, position + offset] = 1.0
             position += width
         elif kind == "numeric":
-            getter = _NUMERIC_GETTERS[name]
-            raw = np.array([getter(flow) for flow in flows], dtype=float)
-            transformed = _transform(raw, recipe.numeric_treatment)
+            transformed = _numeric_column(flows, name, recipe.numeric_treatment)
             lo, hi = recipe.numeric_stats[name]
             if hi > lo:
                 scaled = (transformed - lo) / (hi - lo)
@@ -237,7 +240,6 @@ def apply_recipe(flows: list[FlowRecord], recipe: EncodingRecipe) -> FeatureMatr
         values=values,
         columns=recipe.columns,
         row_indices=np.arange(n),
-        recipe=recipe,
     )
 
 
@@ -343,7 +345,6 @@ def project_features(
             values=matrix.values[:, positions],
             columns=MANUAL_SUBSET_COLUMNS,
             row_indices=matrix.row_indices,
-            recipe=matrix.recipe,
         )
     if mode is ClusteringFeatures.PCA:
         if not isinstance(aux, PcaBasis):
@@ -353,7 +354,6 @@ def project_features(
             values=projected,
             columns=tuple(f"pca_{i}" for i in range(projected.shape[1])),
             row_indices=matrix.row_indices,
-            recipe=matrix.recipe,
         )
     if mode is ClusteringFeatures.AE_BOTTLENECK:
         from .autoencoder import bottleneck_activations  # local import, avoids a cycle
@@ -365,6 +365,5 @@ def project_features(
             values=activations,
             columns=tuple(f"bottleneck_{i}" for i in range(activations.shape[1])),
             row_indices=matrix.row_indices,
-            recipe=matrix.recipe,
         )
     raise ConfigError(f"unknown clustering feature mode: {mode!r}")

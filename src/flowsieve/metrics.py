@@ -8,7 +8,7 @@ zero, so degenerate runs fail loudly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -87,84 +87,71 @@ def scenario_metrics(outcome: ScenarioOutcome) -> ScenarioMetrics:
     return ScenarioMetrics(fpr=fpr, precision=precision, recall=recall, f1=f1)
 
 
-def average_precision(scores: np.ndarray, positives: np.ndarray) -> float:
-    """AP = sum over descending unique score thresholds of (R_n - R_{n-1}) * P_n,
-    ties processed together."""
+def _pr_sweep(scores: np.ndarray, positives: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Threshold, precision and recall at each distinct score, descending.
+
+    Tied scores enter together; a group's threshold is its first score in
+    stable order, so a tie of 0.0 and -0.0 keeps the sign seen first.
+    """
     scores = np.asarray(scores, dtype=float)
     positives = np.asarray(positives, dtype=bool)
     total_pos = int(positives.sum())
     if total_pos == 0:
-        raise DataError("average precision needs at least one positive")
+        raise DataError("a precision-recall sweep needs at least one positive")
+    if np.isnan(scores).any():
+        raise DataError("a precision-recall sweep needs scores that are not NaN")
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
-    sorted_pos = positives[order]
-    ap = 0.0
-    previous_recall = 0.0
-    tp = 0
-    seen = 0
-    n = scores.shape[0]
-    i = 0
-    while i < n:
-        j = i
-        while j < n and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        tp += int(sorted_pos[i:j].sum())
-        seen = j
-        precision = tp / seen
-        recall = tp / total_pos
-        ap += (recall - previous_recall) * precision
-        previous_recall = recall
-        i = j
-    return ap
+    true_positives = np.cumsum(positives[order])
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    ends = np.r_[starts[1:], scores.shape[0]]
+    tp = true_positives[ends - 1]
+    return sorted_scores[starts], tp / ends, tp / total_pos
+
+
+def average_precision(scores: np.ndarray, positives: np.ndarray) -> float:
+    """AP = sum over descending unique score thresholds of (R_n - R_{n-1}) * P_n,
+    ties processed together.
+
+    The terms are added in sweep order (cumsum is sequential, where sum
+    would pair them up and move the last bits).
+    """
+    _, precision, recall = _pr_sweep(scores, positives)
+    steps = np.diff(recall, prepend=0.0) * precision
+    return float(np.cumsum(steps)[-1])
+
+
+def _scenario_rows(
+    scores: Sequence[float], labels: Sequence[LabelClass], scenario: LabelClass
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scores and positive flags of the scenario's attack flows and the
+    benign flows; flows of other attack classes are left out."""
+    scores = np.asarray(scores, dtype=float)
+    labels = list(labels)
+    if scores.shape[0] != len(labels):
+        raise DataError("score/label count mismatch")
+    mask = np.array(
+        [label is scenario or label is LabelClass.ASSUMED_BENIGN for label in labels], dtype=bool
+    )
+    positives = np.array([label is scenario for label in labels], dtype=bool)
+    if not positives.any():
+        raise DataError(f"no flows labeled {scenario.value!r}")
+    return scores[mask], positives[mask]
 
 
 def auprc(
     scores: Sequence[float], labels: Sequence[LabelClass], scenario: LabelClass
 ) -> float:
     """Average precision of the scenario's attack flows against benign flows."""
-    scores = np.asarray(scores, dtype=float)
-    labels = list(labels)
-    if scores.shape[0] != len(labels):
-        raise DataError("score/label count mismatch")
-    mask = np.array(
-        [label is scenario or label is LabelClass.ASSUMED_BENIGN for label in labels]
-    )
-    positives = np.array([label is scenario for label in labels])
-    if not positives.any():
-        raise DataError(f"no flows labeled {scenario.value!r}")
-    return average_precision(scores[mask], positives[mask])
+    return average_precision(*_scenario_rows(scores, labels, scenario))
 
 
 def pr_curve(
     scores: Sequence[float], labels: Sequence[LabelClass], scenario: LabelClass
 ) -> list[tuple[float, float, float]]:
     """(threshold, precision, recall) points over descending unique scores."""
-    scores = np.asarray(scores, dtype=float)
-    labels = list(labels)
-    mask = np.array(
-        [label is scenario or label is LabelClass.ASSUMED_BENIGN for label in labels]
-    )
-    positives = np.array([label is scenario for label in labels])[mask]
-    sel = scores[mask]
-    total_pos = int(positives.sum())
-    if total_pos == 0:
-        raise DataError(f"no flows labeled {scenario.value!r}")
-    order = np.argsort(-sel, kind="stable")
-    points = []
-    tp = 0
-    seen = 0
-    i = 0
-    n = sel.shape[0]
-    while i < n:
-        threshold = sel[order[i]]
-        j = i
-        while j < n and sel[order[j]] == threshold:
-            tp += int(positives[order[j]])
-            j += 1
-        seen = j
-        points.append((float(threshold), tp / seen, tp / total_pos))
-        i = j
-    return points
+    thresholds, precision, recall = _pr_sweep(*_scenario_rows(scores, labels, scenario))
+    return list(zip(thresholds.tolist(), precision.tolist(), recall.tolist()))
 
 
 def macro_average(values: Sequence[Optional[float]]) -> Optional[float]:
@@ -209,16 +196,14 @@ class ScenarioReport:
 class EvalReport:
     """Per-scenario metrics, macro-averages and the run's configuration.
 
-    Stage runtimes are kept in memory for operators but excluded from the
-    serialized artifact, which must be byte-identical across reruns with
-    the same seed.
+    The serialized artifact holds no timings, so reruns with the same seed
+    are byte-identical.
     """
 
     scenarios: dict[str, ScenarioReport]
     macro: dict[str, Optional[float]]
     config_snapshot: dict
     thresholds: dict
-    runtime_seconds: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -238,7 +223,6 @@ def build_eval_report(
     labels: Sequence[LabelClass],
     config_snapshot: dict,
     thresholds: dict,
-    runtime_seconds: Optional[dict[str, float]] = None,
 ) -> EvalReport:
     """Assemble the full report for every attack scenario present."""
     scores = verdict_scores(verdicts)
@@ -267,5 +251,4 @@ def build_eval_report(
         macro=macro,
         config_snapshot=config_snapshot,
         thresholds=thresholds,
-        runtime_seconds=dict(runtime_seconds or {}),
     )

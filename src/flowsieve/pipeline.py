@@ -8,16 +8,15 @@ infrequent validation rows.
 """
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import autoencoder, clustering, encode
-from .clustering import ClassifyMode, Filter2Model, GlobalTanh, PerClusterThreshold
+from .clustering import Filter2Model
 from .config import ClusteringFeatures, PipelineConfig
-from .encode import EncodingRecipe, FeatureMatrix
+from .encode import EncodingRecipe, FeatureMatrix, PcaBasis
 from .errors import DataError
 from .metrics import EvalReport, build_eval_report
 from .records import FlowRecord, Verdict
@@ -25,11 +24,20 @@ from .records import FlowRecord, Verdict
 
 @dataclass
 class TrainedPipeline:
+    """Both trained filters and the configuration that classifies with them.
+
+    `config.global_tanh_threshold` picks the verdict rule: tanh(distance)
+    against that global threshold, or with None the per-cluster thresholds.
+    """
+
     config: PipelineConfig
-    recipe: EncodingRecipe
     filter1: autoencoder.Filter1Model
     filter2: Filter2Model
-    runtime_seconds: dict[str, float]
+
+    @property
+    def recipe(self) -> EncodingRecipe:
+        assert self.filter1.recipe is not None
+        return self.filter1.recipe
 
     @property
     def th_frequent(self) -> float:
@@ -37,18 +45,35 @@ class TrainedPipeline:
         return self.filter1.th_frequent
 
 
-def _project_for_clustering(
-    pipeline_or_parts, matrix: FeatureMatrix
+def _clustering_space(
+    matrix: FeatureMatrix,
+    feature_space: ClusteringFeatures,
+    filter1: autoencoder.Filter1Model,
+    pca_basis: Optional[PcaBasis],
 ) -> FeatureMatrix:
-    """Project an encoded matrix into the trained clustering feature space."""
-    filter1 = pipeline_or_parts.filter1
-    filter2 = pipeline_or_parts.filter2
-    mode = filter2.feature_space
-    if mode is ClusteringFeatures.PCA:
-        return encode.project_features(matrix, mode, aux=filter2.pca_basis)
-    if mode is ClusteringFeatures.AE_BOTTLENECK:
-        return encode.project_features(matrix, mode, aux=filter1)
-    return encode.project_features(matrix, mode)
+    """Project an encoded matrix into a clustering feature space; PCA reads
+    the fitted basis and the bottleneck space the frequency filter."""
+    aux = {ClusteringFeatures.PCA: pca_basis, ClusteringFeatures.AE_BOTTLENECK: filter1}
+    return encode.project_features(matrix, feature_space, aux=aux.get(feature_space))
+
+
+def _infrequent_rows(filter1: autoencoder.Filter1Model, matrix: FeatureMatrix) -> FeatureMatrix:
+    mses = autoencoder.compute_mse(filter1, matrix)
+    return matrix.take(~autoencoder.classify_frequent_rows(mses, filter1.th_frequent))
+
+
+def _calibrate_filter2(
+    filter1: autoencoder.Filter1Model,
+    filter2: Filter2Model,
+    val_matrix: FeatureMatrix,
+    pctl_known: float,
+) -> Filter2Model:
+    """Set the per-cluster thresholds on the infrequent validation rows."""
+    val_proj = _clustering_space(
+        _infrequent_rows(filter1, val_matrix), filter2.feature_space, filter1, filter2.pca_basis
+    )
+    thresholds = clustering.set_cluster_thresholds(filter2, val_proj, pctl_known)
+    return clustering.with_thresholds(filter2, thresholds)
 
 
 def train_pipeline(
@@ -60,57 +85,25 @@ def train_pipeline(
         raise DataError("empty training partition")
     if not validation_flows:
         raise DataError("empty validation partition")
-    runtime: dict[str, float] = {}
 
-    t0 = time.perf_counter()
     recipe = encode.fit_recipe(list(training_flows), config)
     train_matrix = encode.apply_recipe(list(training_flows), recipe)
     val_matrix = encode.apply_recipe(list(validation_flows), recipe)
-    runtime["encode"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
     filter1 = autoencoder.train_filter1(train_matrix, val_matrix, config)
     th_frequent = autoencoder.set_frequency_threshold(filter1, val_matrix, config.pctl_frequent)
-    filter1 = autoencoder.with_threshold(filter1, th_frequent)
-    runtime["filter1"] = time.perf_counter() - t0
+    filter1 = replace(filter1, recipe=recipe, th_frequent=th_frequent)
 
-    t0 = time.perf_counter()
-    train_mse = autoencoder.compute_mse(filter1, train_matrix)
-    val_mse = autoencoder.compute_mse(filter1, val_matrix)
-    infrequent_train = train_matrix.take(~autoencoder.classify_frequent_rows(train_mse, th_frequent))
-    infrequent_val = val_matrix.take(~autoencoder.classify_frequent_rows(val_mse, th_frequent))
+    infrequent_train = _infrequent_rows(filter1, train_matrix)
     if infrequent_train.n_rows == 0:
         raise DataError("no infrequent training rows below the configured percentile")
-
-    pca_basis = None
-    if config.clustering_features is ClusteringFeatures.PCA:
-        pca_basis = encode.fit_pca(infrequent_train)
-        train_proj = encode.project_features(infrequent_train, ClusteringFeatures.PCA, aux=pca_basis)
-        val_proj = encode.project_features(infrequent_val, ClusteringFeatures.PCA, aux=pca_basis)
-    elif config.clustering_features is ClusteringFeatures.AE_BOTTLENECK:
-        train_proj = encode.project_features(
-            infrequent_train, ClusteringFeatures.AE_BOTTLENECK, aux=filter1
-        )
-        val_proj = encode.project_features(
-            infrequent_val, ClusteringFeatures.AE_BOTTLENECK, aux=filter1
-        )
-    else:
-        train_proj = encode.project_features(infrequent_train, config.clustering_features)
-        val_proj = encode.project_features(infrequent_val, config.clustering_features)
-
+    features = config.clustering_features
+    pca_basis = encode.fit_pca(infrequent_train) if features is ClusteringFeatures.PCA else None
+    train_proj = _clustering_space(infrequent_train, features, filter1, pca_basis)
     filter2 = clustering.train_filter2(train_proj, config)
     filter2.pca_basis = pca_basis
-    thresholds = clustering.set_cluster_thresholds(filter2, val_proj, config.pctl_known)
-    filter2 = clustering.with_thresholds(filter2, thresholds)
-    runtime["filter2"] = time.perf_counter() - t0
-
-    return TrainedPipeline(
-        config=config,
-        recipe=recipe,
-        filter1=filter1,
-        filter2=filter2,
-        runtime_seconds=runtime,
-    )
+    filter2 = _calibrate_filter2(filter1, filter2, val_matrix, config.pctl_known)
+    return TrainedPipeline(config=config, filter1=filter1, filter2=filter2)
 
 
 def recalibrate(
@@ -123,26 +116,12 @@ def recalibrate(
         pipeline.filter1, val_matrix, config.pctl_frequent
     )
     filter1 = autoencoder.with_threshold(pipeline.filter1, th_frequent)
-    val_mse = autoencoder.compute_mse(filter1, val_matrix)
-    infrequent_val = val_matrix.take(~autoencoder.classify_frequent_rows(val_mse, th_frequent))
-    parts = TrainedPipeline(config, pipeline.recipe, filter1, pipeline.filter2, dict(pipeline.runtime_seconds))
-    val_proj = _project_for_clustering(parts, infrequent_val)
-    thresholds = clustering.set_cluster_thresholds(pipeline.filter2, val_proj, config.pctl_known)
-    filter2 = clustering.with_thresholds(pipeline.filter2, thresholds)
-    return TrainedPipeline(config, pipeline.recipe, filter1, filter2, dict(pipeline.runtime_seconds))
+    filter2 = _calibrate_filter2(filter1, pipeline.filter2, val_matrix, config.pctl_known)
+    return TrainedPipeline(config, filter1, filter2)
 
 
-def default_mode(config: PipelineConfig) -> ClassifyMode:
-    if config.global_tanh_threshold is None:
-        return PerClusterThreshold()
-    return GlobalTanh(config.global_tanh_threshold)
-
-
-def classify_matrix(
-    pipeline: TrainedPipeline, matrix: FeatureMatrix, mode: Optional[ClassifyMode] = None
-) -> list[Verdict]:
+def classify_matrix(pipeline: TrainedPipeline, matrix: FeatureMatrix) -> list[Verdict]:
     """One verdict per row, in row order."""
-    mode = mode if mode is not None else default_mode(pipeline.config)
     mses = autoencoder.compute_mse(pipeline.filter1, matrix)
     frequent = autoencoder.classify_frequent_rows(mses, pipeline.th_frequent)
     verdicts: list[Optional[Verdict]] = [None] * matrix.n_rows
@@ -150,8 +129,13 @@ def classify_matrix(
         verdicts[row] = Verdict.for_frequent(int(matrix.row_indices[row]), float(mses[row]))
     infrequent_rows = np.flatnonzero(~frequent)
     if infrequent_rows.size:
-        projected = _project_for_clustering(pipeline, matrix.take(infrequent_rows))
-        scores = clustering.score_and_classify(projected.values, pipeline.filter2, mode)
+        filter2 = pipeline.filter2
+        projected = _clustering_space(
+            matrix.take(infrequent_rows), filter2.feature_space, pipeline.filter1, filter2.pca_basis
+        )
+        scores = clustering.score_and_classify(
+            projected.values, filter2, pipeline.config.global_tanh_threshold
+        )
         for row, score in zip(infrequent_rows, scores):
             verdicts[row] = Verdict.for_infrequent(
                 int(matrix.row_indices[row]),
@@ -165,37 +149,28 @@ def classify_matrix(
     return verdicts  # type: ignore[return-value]
 
 
-def classify_flows(
-    pipeline: TrainedPipeline, flows: Sequence[FlowRecord], mode: Optional[ClassifyMode] = None
-) -> list[Verdict]:
+def classify_flows(pipeline: TrainedPipeline, flows: Sequence[FlowRecord]) -> list[Verdict]:
     matrix = encode.apply_recipe(list(flows), pipeline.recipe)
-    return classify_matrix(pipeline, matrix, mode)
+    return classify_matrix(pipeline, matrix)
 
 
 def evaluate_pipeline(
-    pipeline: TrainedPipeline,
-    test_flows: Sequence[FlowRecord],
-    mode: Optional[ClassifyMode] = None,
+    pipeline: TrainedPipeline, test_flows: Sequence[FlowRecord]
 ) -> tuple[EvalReport, list[Verdict]]:
     """Classify the test flows and build the evaluation report."""
-    mode = mode if mode is not None else default_mode(pipeline.config)
-    t0 = time.perf_counter()
-    verdicts = classify_flows(pipeline, test_flows, mode)
-    detect_seconds = time.perf_counter() - t0
+    tau = pipeline.config.global_tanh_threshold
+    verdicts = classify_flows(pipeline, test_flows)
     labels = [flow.actual_label for flow in test_flows]
     thresholds = {
         "th_frequent": pipeline.th_frequent,
         "per_cluster_thresholds": pipeline.filter2.per_cluster_thresholds,
-        "global_tanh_threshold": mode.tau if isinstance(mode, GlobalTanh) else None,
-        "mode": "global_tanh" if isinstance(mode, GlobalTanh) else "per_cluster",
+        "global_tanh_threshold": tau,
+        "mode": "per_cluster" if tau is None else "global_tanh",
     }
-    runtime = dict(pipeline.runtime_seconds)
-    runtime["detect"] = detect_seconds
     report = build_eval_report(
         verdicts,
         labels,
         config_snapshot=pipeline.config.to_dict(),
         thresholds=thresholds,
-        runtime_seconds=runtime,
     )
     return report, verdicts

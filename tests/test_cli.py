@@ -248,6 +248,52 @@ class TestErrorPaths:
         assert code == 2
         assert "same_dest_IP_count_pool in 3 rows" in capsys.readouterr().err
 
+    def _detect(self, workdir, out, *extra, input_csv=None):
+        return main(
+            [
+                "detect",
+                "--models", str(workdir / "models"),
+                "--input", str(input_csv or workdir / "data" / "test.csv"),
+                "--out", str(out),
+                *extra,
+            ]
+        )
+
+    @pytest.mark.parametrize("tau", ["1.5", "-0.5", "0", "1"])
+    def test_detect_tau_outside_unit_interval_is_usage_error(self, workdir, tmp_path, capsys, tau):
+        out = tmp_path / "verdicts.csv"
+        assert self._detect(workdir, out, "--tau", tau) == 1
+        assert not out.exists()
+        assert "global_tanh_threshold must lie in (0, 1)" in capsys.readouterr().err
+
+    def test_per_cluster_mode_ignores_tau(self, workdir, tmp_path):
+        plain, with_tau = tmp_path / "plain.csv", tmp_path / "with_tau.csv"
+        assert self._detect(workdir, plain, "--mode", "per-cluster") == 0
+        assert self._detect(workdir, with_tau, "--mode", "per-cluster", "--tau", "1.5") == 0
+        assert plain.read_bytes() == with_tau.read_bytes()
+
+    def test_tau_and_configured_threshold_agree(self, workdir, tmp_path):
+        by_flag, by_config = tmp_path / "flag.csv", tmp_path / "config.csv"
+        assert self._detect(workdir, by_flag, "--tau", "0.5") == 0
+        assert self._detect(workdir, by_config, "--set", "global_tanh_threshold=0.5") == 0
+        assert by_flag.read_bytes() == by_config.read_bytes()
+
+    def test_detect_refuses_non_finite_encoded_values(self, workdir, tmp_path, capsys):
+        # a negative octet count has no log1p; ingest drops such rows
+        with open(workdir / "data" / "test.csv", newline="") as stream:
+            rows = list(csv.reader(stream))
+        column = rows[0].index("octet_delta_count")
+        for row in rows[1:3]:
+            row[column] = "-5"
+        edited = tmp_path / "test.csv"
+        with open(edited, "w", newline="") as stream:
+            csv.writer(stream, lineterminator="\n").writerows(rows)
+        out = tmp_path / "verdicts.csv"
+        assert self._detect(workdir, out, input_csv=edited) == 2
+        assert not out.exists()
+        error = capsys.readouterr().err
+        assert f"'octet_delta_count' is not finite after log1p in 2 of {len(rows) - 1} rows" in error
+
     def test_no_partial_outputs_on_failure(self, tmp_path, workdir):
         # train with an un-trainable configuration must leave no artifacts
         out = tmp_path / "models"

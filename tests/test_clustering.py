@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowsieve import clustering
-from flowsieve.clustering import GlobalTanh, PerClusterThreshold
 from flowsieve.config import DistanceMode, PipelineConfig
 from flowsieve.errors import DataError, DegenerateDataError, SchemaError
 from flowsieve.stats import TAG_SILHOUETTE_SAMPLE, derive_rng, pairwise_dists, pairwise_sq_dists
@@ -371,7 +370,7 @@ class TestClusterThresholds:
         model = self._model([[0.0], [100.0]])
         thresholds = clustering.set_cluster_thresholds(model, np.array([[1.0]]), 100)
         model = clustering.with_thresholds(model, thresholds)
-        scores = clustering.score_and_classify(np.array([[100.0]]), model, PerClusterThreshold())
+        scores = clustering.score_and_classify(np.array([[100.0]]), model, None)
         assert scores[0].assigned_cluster == 1
         assert scores[0].known is False
 
@@ -394,26 +393,26 @@ class TestScoreAndClassify:
 
     def test_flow_at_centroid(self):
         model = self._simple_model(thresholds=[0.5, 0.5])
-        [score] = clustering.score_and_classify(np.array([[0.0, 0.0]]), model, PerClusterThreshold())
+        [score] = clustering.score_and_classify(np.array([[0.0, 0.0]]), model, None)
         assert score.distance == 0.0
         assert score.tanh_score == 0.0
         assert score.known is True
-        [score] = clustering.score_and_classify(np.array([[0.0, 0.0]]), model, GlobalTanh(0.05))
+        [score] = clustering.score_and_classify(np.array([[0.0, 0.0]]), model, 0.05)
         assert score.known is True
 
     def test_tanh_boundary_around_075(self):
         # atanh(0.75) ~ 0.9730: below it known, at/above it unknown
         model = self._simple_model()
         boundary = math.atanh(0.75)
-        [below] = clustering.score_and_classify(np.array([[boundary - 1e-6, 0.0]]), model, GlobalTanh(0.75))
-        [above] = clustering.score_and_classify(np.array([[boundary + 1e-6, 0.0]]), model, GlobalTanh(0.75))
+        [below] = clustering.score_and_classify(np.array([[boundary - 1e-6, 0.0]]), model, 0.75)
+        [above] = clustering.score_and_classify(np.array([[boundary + 1e-6, 0.0]]), model, 0.75)
         assert below.known is True
         assert above.known is False
         assert boundary == pytest.approx(0.9730, abs=1e-4)
 
     def test_strict_threshold_comparison(self):
         model = self._simple_model(thresholds=[1.0, 1.0])
-        [score] = clustering.score_and_classify(np.array([[1.0, 0.0]]), model, PerClusterThreshold())
+        [score] = clustering.score_and_classify(np.array([[1.0, 0.0]]), model, None)
         assert score.distance == pytest.approx(1.0)
         assert score.known is False  # distance == threshold is unknown
 
@@ -423,14 +422,14 @@ class TestScoreAndClassify:
             mode=DistanceMode.NORMALIZED_EUCLIDEAN, stds=[[0.5, 1.0], [1.0, 1.0]]
         )
         x = np.array([[1.0, 2.0]])
-        [score] = clustering.score_and_classify(x, model, GlobalTanh())
+        [score] = clustering.score_and_classify(x, model, 0.75)
         z = np.array([(1.0 - 0.0) / 0.5, (2.0 - 0.0) / 1.0])
         assert score.distance == pytest.approx(float(np.linalg.norm(z) / math.sqrt(2)))
 
     def test_missing_thresholds_error(self):
         model = self._simple_model(thresholds=None)
         with pytest.raises(DataError):
-            clustering.score_and_classify(np.array([[0.0, 0.0]]), model, PerClusterThreshold())
+            clustering.score_and_classify(np.array([[0.0, 0.0]]), model, None)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -445,12 +444,12 @@ class TestScoreAndClassify:
         rng = np.random.default_rng(16)
         model = self._simple_model(thresholds=[0.8, 1.3])
         points = rng.uniform(-3, 13, size=(50, 2))
-        raw = clustering.score_and_classify(points, model, PerClusterThreshold())
+        raw = clustering.score_and_classify(points, model, None)
         tanh_model = clustering.with_thresholds(
             model, [math.tanh(t) for t in model.per_cluster_thresholds]
         )
         for point, verdict in zip(points, raw):
-            [tanh_side] = clustering.score_and_classify(point[None, :], tanh_model, PerClusterThreshold())
+            [tanh_side] = clustering.score_and_classify(point[None, :], tanh_model, None)
             # compare tanh(distance) against tanh(threshold) by hand
             assert (math.tanh(verdict.distance) < math.tanh(model.per_cluster_thresholds[verdict.assigned_cluster])) == verdict.known
             assert tanh_side.assigned_cluster == verdict.assigned_cluster
@@ -460,7 +459,7 @@ class TestScoreAndClassify:
         # stay inside cluster 0's half-space so distance grows with x
         distances = np.linspace(0.0, 4.9, 30)
         points = np.column_stack([distances, np.zeros(30)])
-        scores = clustering.score_and_classify(points, model, GlobalTanh())
+        scores = clustering.score_and_classify(points, model, 0.75)
         tanhs = [s.tanh_score for s in scores]
         assert all(0.0 <= t < 1.0 for t in tanhs)
         assert all(b > a for a, b in zip(tanhs, tanhs[1:]))

@@ -104,6 +104,32 @@ class TestApplyRecipe:
         assert matrix.values[0, matrix.columns.index("tcp_ack")] == 0.0
 
 
+class TestNonFiniteEncoding:
+    """log1p below -1 is NaN and at -1 is -inf: the encode boundary refuses
+    both, naming the column and the number of rows."""
+
+    def test_apply_recipe_names_column_and_bad_row_count(self):
+        recipe = encode.fit_recipe([make_record(), make_record(octet_delta_count=9000)], _config())
+        flows = [
+            make_record(octet_delta_count=-5),
+            make_record(),
+            make_record(octet_delta_count=-1),
+        ]
+        with pytest.raises(DataError, match=r"'octet_delta_count' .* in 2 of 3 rows"):
+            encode.apply_recipe(flows, recipe)
+
+    def test_fit_recipe_statistics_refuse_non_finite_values(self):
+        flows = [make_record(), make_record(flow_duration_milliseconds=-5)]
+        with pytest.raises(DataError, match=r"'flow_duration_milliseconds' .* in 1 of 2 rows"):
+            encode.fit_recipe(flows, _config())
+
+    def test_as_is_treatment_keeps_negative_values_finite(self):
+        config = _config(numeric_treatment=NumericTreatment.AS_IS)
+        recipe = encode.fit_recipe([make_record(), make_record(octet_delta_count=9000)], config)
+        matrix = encode.apply_recipe([make_record(octet_delta_count=-5)], recipe)
+        assert matrix.values[0, matrix.columns.index("octet_delta_count")] == 0.0
+
+
 class TestFitPca:
     def test_isotropic_gaussian_ratios(self):
         rng = np.random.default_rng(7)

@@ -218,3 +218,110 @@ class TestEvalReport:
         scores = metrics.verdict_scores(verdicts)
         assert scores[0] == 0.0
         assert scores[1] == pytest.approx(0.8)
+
+
+def while_loop_average_precision(scores, positives):
+    """The sequential tie-grouped sweep average_precision replaced."""
+    scores = np.asarray(scores, dtype=float)
+    positives = np.asarray(positives, dtype=bool)
+    total_pos = int(positives.sum())
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    sorted_pos = positives[order]
+    ap = 0.0
+    previous_recall = 0.0
+    tp = 0
+    n = scores.shape[0]
+    i = 0
+    while i < n:
+        j = i
+        while j < n and sorted_scores[j] == sorted_scores[i]:
+            j += 1
+        tp += int(sorted_pos[i:j].sum())
+        precision = tp / j
+        recall = tp / total_pos
+        ap += (recall - previous_recall) * precision
+        previous_recall = recall
+        i = j
+    return ap
+
+
+def while_loop_pr_curve(scores, labels, scenario):
+    """The sequential tie-grouped sweep pr_curve replaced."""
+    scores = np.asarray(scores, dtype=float)
+    mask = np.array([label is scenario or label is BENIGN for label in labels])
+    positives = np.array([label is scenario for label in labels])[mask]
+    sel = scores[mask]
+    total_pos = int(positives.sum())
+    order = np.argsort(-sel, kind="stable")
+    points = []
+    tp = 0
+    i = 0
+    n = sel.shape[0]
+    while i < n:
+        threshold = sel[order[i]]
+        j = i
+        while j < n and sel[order[j]] == threshold:
+            tp += int(positives[order[j]])
+            j += 1
+        points.append((float(threshold), tp / j, tp / total_pos))
+        i = j
+    return points
+
+
+def _oracle_cases():
+    """Quantized scores (many ties), +-0.0 ties, a single group, and
+    unquantized scores, each with labels of all three classes."""
+    rng = np.random.default_rng(2006)
+    cases = []
+    for trial in range(60):
+        n = int(rng.integers(1, 300))
+        levels = int(rng.integers(1, 12))
+        scores = rng.integers(0, levels, size=n) / max(levels - 1, 1)
+        if trial % 3 == 1:
+            scores = np.where(rng.random(n) < 0.5, -scores, scores)  # 0.0 and -0.0 tie
+        if trial % 3 == 2:
+            scores = rng.random(n)
+        labels = list(rng.choice([NMAP, CRYPTO, BENIGN], size=n))
+        labels[int(rng.integers(n))] = NMAP
+        cases.append((scores, labels))
+    cases.append((np.zeros(7), [BENIGN, NMAP, BENIGN, NMAP, CRYPTO, BENIGN, BENIGN]))
+    cases.append((np.array([-0.0, 0.0, -0.0, 0.0]), [NMAP, BENIGN, NMAP, BENIGN]))
+    cases.append((np.array([0.0, -0.0, 0.5, 0.5]), [BENIGN, NMAP, NMAP, BENIGN]))
+    return cases
+
+
+class TestSweepOracle:
+    """The vectorized sweep equals the two while-loop sweeps it replaced
+    exactly: same floats, same threshold signs."""
+
+    def test_average_precision_bit_identical(self):
+        for case, (scores, labels) in enumerate(_oracle_cases()):
+            positives = np.array([label is NMAP for label in labels])
+            got = metrics.average_precision(scores, positives)
+            assert type(got) is float
+            assert got == while_loop_average_precision(scores, positives), case
+            mask = np.array([label is not CRYPTO for label in labels])
+            want = while_loop_average_precision(scores[mask], positives[mask])
+            assert metrics.auprc(scores, labels, NMAP) == want, case
+
+    def test_pr_curve_repr_identical(self):
+        for case, (scores, labels) in enumerate(_oracle_cases()):
+            got = metrics.pr_curve(scores, labels, NMAP)
+            assert repr(got) == repr(while_loop_pr_curve(scores, labels, NMAP)), case
+
+    def test_single_group(self):
+        points = metrics.pr_curve(np.full(4, 0.3), [NMAP, BENIGN, BENIGN, BENIGN], NMAP)
+        assert points == [(0.3, 0.25, 1.0)]
+        assert metrics.average_precision(np.full(4, 0.3), np.array([1, 0, 0, 0], bool)) == 0.25
+
+    def test_zero_sign_of_first_tied_score_is_kept(self):
+        points = metrics.pr_curve(np.array([-0.0, 0.0]), [NMAP, BENIGN], NMAP)
+        assert repr(points) == "[(-0.0, 0.5, 1.0)]"
+
+    def test_nan_scores_are_data_errors(self):
+        scores = np.array([0.2, np.nan, 0.4])
+        with pytest.raises(DataError, match="NaN"):
+            metrics.pr_curve(scores, [NMAP, BENIGN, BENIGN], NMAP)
+        with pytest.raises(DataError, match="NaN"):
+            metrics.auprc(scores, [NMAP, BENIGN, BENIGN], NMAP)

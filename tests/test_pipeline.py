@@ -1,9 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from flowsieve import autoencoder, encode, pipeline
-from flowsieve.clustering import GlobalTanh, PerClusterThreshold
+from flowsieve import autoencoder, clustering, encode, pipeline
 from flowsieve.config import ClusteringFeatures, DistanceMode, PipelineConfig
 from flowsieve.records import FinalLabel, LabelClass
 
@@ -12,6 +12,11 @@ from flowsieve.records import FinalLabel, LabelClass
 def trained(synth_partitions):
     training, validation, _ = synth_partitions
     return pipeline.train_pipeline(training, validation, PipelineConfig())
+
+
+def _with_tau(trained, tau):
+    """The same models, classifying per cluster (tau None) or by tanh < tau."""
+    return dataclasses.replace(trained, config=trained.config.replace(global_tanh_threshold=tau))
 
 
 class TestTrainPipeline:
@@ -61,7 +66,7 @@ class TestClassify:
 
     def test_per_cluster_mode(self, trained, synth_partitions):
         *_, test = synth_partitions
-        verdicts = pipeline.classify_flows(trained, test, PerClusterThreshold())
+        verdicts = pipeline.classify_flows(_with_tau(trained, None), test)
         recall_hits = sum(
             1
             for flow, verdict in zip(test, verdicts)
@@ -72,10 +77,10 @@ class TestClassify:
 
     def test_custom_tau(self, trained, synth_partitions):
         *_, test = synth_partitions
-        strict = pipeline.classify_flows(trained, test, GlobalTanh(0.999999))
+        strict = pipeline.classify_flows(_with_tau(trained, 0.999999), test)
         # an extremely permissive threshold lets (almost) everything pass
         malicious = sum(1 for v in strict if v.final_label is FinalLabel.MALICIOUS)
-        default = pipeline.classify_flows(trained, test, GlobalTanh(0.75))
+        default = pipeline.classify_flows(_with_tau(trained, 0.75), test)
         malicious_default = sum(1 for v in default if v.final_label is FinalLabel.MALICIOUS)
         assert malicious <= malicious_default
 
@@ -92,8 +97,14 @@ class TestEvaluate:
             LabelClass.EXECUTING_CRYPTOMINING.value,
         }
         assert report.thresholds["global_tanh_threshold"] == 0.75
-        assert report.runtime_seconds  # captured in memory
         assert "runtime" not in json.dumps(report.to_dict())  # never serialized
+
+    def test_report_names_the_per_cluster_rule(self, trained, synth_partitions):
+        *_, test = synth_partitions
+        report, verdicts = pipeline.evaluate_pipeline(_with_tau(trained, None), test)
+        assert report.thresholds["mode"] == "per_cluster"
+        assert report.thresholds["global_tanh_threshold"] is None
+        assert verdicts == pipeline.classify_flows(_with_tau(trained, None), test)
 
 
 class TestFeatureSpaces:
@@ -145,3 +156,35 @@ class TestRecalibrate:
         recal = pipeline.recalibrate(trained, validation)
         assert recal.th_frequent == trained.th_frequent
         assert recal.filter2.per_cluster_thresholds == trained.filter2.per_cluster_thresholds
+
+    @pytest.mark.parametrize(
+        "features,distance",
+        [
+            (ClusteringFeatures.MANUAL_SUBSET, DistanceMode.RAW_EUCLIDEAN),
+            (ClusteringFeatures.PCA, DistanceMode.RAW_EUCLIDEAN),
+            (ClusteringFeatures.AE_BOTTLENECK, DistanceMode.NORMALIZED_EUCLIDEAN),
+        ],
+    )
+    def test_every_clustering_space(self, synth_partitions, features, distance):
+        training, validation, _ = synth_partitions
+        config = PipelineConfig(
+            clustering_features=features, distance_mode=distance, epochs_max=40
+        )
+        trained = pipeline.train_pipeline(training[:1500], validation[:600], config)
+        same = pipeline.recalibrate(trained, validation[:600])
+        assert same.th_frequent == trained.th_frequent
+        assert same.filter2.per_cluster_thresholds == trained.filter2.per_cluster_thresholds
+
+        # On other validation flows the cluster thresholds follow a by-hand
+        # projection of the infrequent rows into the trained space.
+        other = validation[600:1800]
+        recal = pipeline.recalibrate(trained, other)
+        matrix = encode.apply_recipe(other, trained.recipe)
+        th = autoencoder.set_frequency_threshold(trained.filter1, matrix, config.pctl_frequent)
+        assert recal.th_frequent == th
+        infrequent = matrix.take(autoencoder.compute_mse(trained.filter1, matrix) >= th)
+        aux = trained.filter2.pca_basis if features is ClusteringFeatures.PCA else trained.filter1
+        projected = encode.project_features(infrequent, features, aux=aux)
+        assert projected.dimension == trained.filter2.dimension
+        expected = clustering.set_cluster_thresholds(trained.filter2, projected, config.pctl_known)
+        assert recal.filter2.per_cluster_thresholds == expected

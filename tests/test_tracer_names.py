@@ -1,0 +1,69 @@
+"""The benchmark's layer tracer (perfbench/tracer.py) wraps package
+functions by name and binds some of their arguments by name. A refactor
+that removes or renames one of them fails here, in the unit tests, rather
+than in a benchmark run."""
+import importlib
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def tracer_module():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module("tracer")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        sys.modules.pop("tracer", None)
+
+
+def _package_wrappers() -> list[str]:
+    return [
+        f"{name}.{attr}"
+        for name, module in list(sys.modules.items())
+        if name == "flowsieve" or name.startswith("flowsieve.")
+        for attr, value in vars(module).items()
+        if getattr(value, "__perfbench_traced__", False)
+    ]
+
+
+def test_every_timed_name_is_a_package_function(tracer_module):
+    for layer, names in tracer_module.TIMED.items():
+        module = importlib.import_module(f"flowsieve.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"flowsieve.{layer}.{name} is gone"
+
+
+def test_install_wraps_every_name_and_uninstall_restores_them(tracer_module):
+    from flowsieve import autoencoder, clustering
+    from flowsieve.config import PipelineConfig
+
+    tracer = tracer_module.Tracer()
+    tracer.begin_session(0)
+    tracer.begin_step(0)
+    tracer.install()
+    try:
+        for layer, names in tracer_module.TIMED.items():
+            module = importlib.import_module(f"flowsieve.{layer}")
+            for name in names:
+                assert getattr(getattr(module, name), "__perfbench_traced__", False), name
+        # the wrappers that bind arguments by name must find them
+        x = np.random.default_rng(0).random((12, 4))
+        fit = clustering.kmeans_fit(x, 2, seed=1, restarts=1)
+        clustering.silhouette_mean(x, fit.assignments)
+        config = PipelineConfig(epochs_max=1, patience_max=1, batch_size=4)
+        autoencoder.train_filter1(x, x, config)
+    finally:
+        tracer.uninstall()
+    assert not _package_wrappers()
+    counts = tracer.counts
+    assert counts["clustering.kmeans_calls"] == 1
+    assert counts["clustering.silhouette_calls"] == 1
+    assert counts["clustering.silhouette_rows"] == 12
+    assert counts["autoencoder.fits"] == 1
+    assert counts["autoencoder.epochs"] == 1
