@@ -110,8 +110,8 @@ class Filter1Model:
             training_history=[float(v) for v in data.get("training_history", [])],
         )
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict()), encoding="utf-8")
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict()) + "\n"
 
     @classmethod
     def load(cls, path: str | Path) -> "Filter1Model":

@@ -10,50 +10,35 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autoencoder, clustering
 from .config import PipelineConfig
-from .encode import FeatureMatrix
 from .errors import DataError
 from .stats import TAG_FOREST, pairwise_dists, seed_sequence
 
 EULER_GAMMA = 0.5772156649015329
 
 LOF_DEFAULT_NEIGHBORS = 20
-IF_DEFAULT_TREES = 100
-IF_DEFAULT_SUBSAMPLE = 256
+IF_TREES = 100
+IF_SUBSAMPLE = 256
 
 _REACHABILITY_FLOOR = 1e-12
 
 
-def _values(matrix: Union[FeatureMatrix, np.ndarray]) -> np.ndarray:
-    return matrix.values if isinstance(matrix, FeatureMatrix) else np.asarray(matrix, dtype=float)
+def score_ae_one_step(model: autoencoder.Filter1Model, test: np.ndarray) -> np.ndarray:
+    """Reconstruction MSE of the pipeline's frequency filter, used without
+    the second filter."""
+    return autoencoder.compute_mse(model, test)
 
 
-def score_ae_one_step(
-    train: Union[FeatureMatrix, np.ndarray],
-    validation: Union[FeatureMatrix, np.ndarray],
-    test: Union[FeatureMatrix, np.ndarray],
-    config: PipelineConfig,
-) -> np.ndarray:
-    """Reconstruction MSE of a frequency-filter-style autoencoder, trained
-    identically but used without the second filter."""
-    model = autoencoder.train_filter1(train, validation, config)
-    return autoencoder.compute_mse(model, _values(test))
-
-
-def score_kmeans_one_step(
-    train: Union[FeatureMatrix, np.ndarray],
-    test: Union[FeatureMatrix, np.ndarray],
-    config: PipelineConfig,
-) -> np.ndarray:
+def score_kmeans_one_step(train: np.ndarray, test: np.ndarray, config: PipelineConfig) -> np.ndarray:
     """tanh of the raw Euclidean distance to the nearest centroid; k is
     selected by mean silhouette on the full (unfiltered) training encoding."""
     model = clustering.train_filter2(train, config)
-    dists = pairwise_dists(_values(test), model.centroids).min(axis=1)
+    dists = pairwise_dists(test, model.centroids).min(axis=1)
     return np.tanh(dists)
 
 
@@ -85,29 +70,23 @@ def _knn_among_train(
     return order, ordered_dists
 
 
-def score_lof(
-    train: Union[FeatureMatrix, np.ndarray],
-    test: Union[FeatureMatrix, np.ndarray],
-    n_neighbors: int = LOF_DEFAULT_NEIGHBORS,
-) -> np.ndarray:
+def score_lof(train: np.ndarray, test: np.ndarray, n_neighbors: int = LOF_DEFAULT_NEIGHBORS) -> np.ndarray:
     """Local outlier factor in novelty mode: test points are scored against
     their training neighbors only. Higher means more anomalous."""
-    x_train = _values(train)
-    x_test = _values(test)
-    n = x_train.shape[0]
+    n = train.shape[0]
     if n_neighbors < 1:
         raise DataError("n_neighbors must be at least 1")
     if n_neighbors >= n:
         raise DataError(f"n_neighbors={n_neighbors} must be smaller than the training size {n}")
 
-    train_nn, train_nn_dists = _knn_among_train(x_train, x_train, n_neighbors, exclude_self=True)
+    train_nn, train_nn_dists = _knn_among_train(train, train, n_neighbors, exclude_self=True)
     k_distance = train_nn_dists[:, -1]
 
     # Local reachability density of every training point.
     reach = np.maximum(k_distance[train_nn], train_nn_dists)
     lrd_train = 1.0 / np.maximum(reach.mean(axis=1), _REACHABILITY_FLOOR)
 
-    test_nn, test_nn_dists = _knn_among_train(x_test, x_train, n_neighbors, exclude_self=False)
+    test_nn, test_nn_dists = _knn_among_train(test, train, n_neighbors, exclude_self=False)
     reach_test = np.maximum(k_distance[test_nn], test_nn_dists)
     lrd_test = 1.0 / np.maximum(reach_test.mean(axis=1), _REACHABILITY_FLOOR)
     return lrd_train[test_nn].mean(axis=1) / lrd_test
@@ -122,82 +101,75 @@ def _average_path_length(m: float) -> float:
     return 2.0 * (math.log(m - 1.0) + EULER_GAMMA) - 2.0 * (m - 1.0) / m
 
 
-@dataclass
-class _IsolationNode:
-    size: int
-    feature: int = -1
-    cut: float = 0.0
-    left: Optional["_IsolationNode"] = None
-    right: Optional["_IsolationNode"] = None
+class _IsolationTree(NamedTuple):
+    """One isolation tree as node arrays in depth-first order, so node 0 is
+    the root and an internal node's left child is the node after it. A
+    row goes left iff row[feature] < cut; a leaf has feature -1 and its
+    path length, depth + c(size), in leaf_path."""
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    feature: np.ndarray
+    cut: np.ndarray
+    right: np.ndarray
+    leaf_path: np.ndarray
 
-
-def _grow_tree(x: np.ndarray, rng: np.random.Generator, depth: int, limit: int) -> _IsolationNode:
-    size = x.shape[0]
-    if size <= 1 or depth >= limit:
-        return _IsolationNode(size=size)
-    mins = x.min(axis=0)
-    maxs = x.max(axis=0)
-    splittable = np.flatnonzero(maxs > mins)
-    if splittable.size == 0:
-        return _IsolationNode(size=size)
-    feature = int(rng.choice(splittable))
-    cut = float(rng.uniform(mins[feature], maxs[feature]))
-    mask = x[:, feature] < cut
-    if not mask.any() or mask.all():
-        return _IsolationNode(size=size)
-    return _IsolationNode(
-        size=size,
-        feature=feature,
-        cut=cut,
-        left=_grow_tree(x[mask], rng, depth + 1, limit),
-        right=_grow_tree(x[~mask], rng, depth + 1, limit),
-    )
+    def path_lengths(self, x: np.ndarray) -> np.ndarray:
+        """Path length of every row, descending all rows one level at a time."""
+        node = np.zeros(x.shape[0], dtype=np.intp)
+        active = np.flatnonzero(self.feature[node] >= 0)
+        while active.size:
+            at = node[active]
+            goes_left = x[active, self.feature[at]] < self.cut[at]
+            node[active] = np.where(goes_left, at + 1, self.right[at])
+            active = active[self.feature[node[active]] >= 0]
+        return self.leaf_path[node]
 
 
-def _path_length(node: _IsolationNode, row: np.ndarray) -> float:
-    depth = 0
-    while not node.is_leaf:
-        node = node.left if row[node.feature] < node.cut else node.right
-        depth += 1
-    return depth + _average_path_length(node.size)
+def _grow_tree(x: np.ndarray, rng: np.random.Generator, limit: int) -> _IsolationTree:
+    nodes: list[tuple[int, float, int, float]] = []  # (feature, cut, right, leaf_path)
+
+    def grow(x: np.ndarray, depth: int) -> int:
+        node = len(nodes)
+        nodes.append((-1, 0.0, -1, depth + _average_path_length(x.shape[0])))
+        if x.shape[0] <= 1 or depth >= limit:
+            return node
+        mins = x.min(axis=0)
+        maxs = x.max(axis=0)
+        splittable = np.flatnonzero(maxs > mins)
+        if splittable.size == 0:
+            return node
+        feature = int(rng.choice(splittable))
+        cut = float(rng.uniform(mins[feature], maxs[feature]))
+        mask = x[:, feature] < cut
+        if not mask.any() or mask.all():
+            return node
+        grow(x[mask], depth + 1)  # the left child is node + 1
+        nodes[node] = (feature, cut, grow(x[~mask], depth + 1), 0.0)
+        return node
+
+    grow(x, 0)
+    return _IsolationTree(*(np.array(column) for column in zip(*nodes)))
 
 
-def score_if(
-    train: Union[FeatureMatrix, np.ndarray],
-    test: Union[FeatureMatrix, np.ndarray],
-    n_trees: int = IF_DEFAULT_TREES,
-    subsample: int = IF_DEFAULT_SUBSAMPLE,
-    seed: int = 42,
-) -> np.ndarray:
+def score_if(train: np.ndarray, test: np.ndarray, seed: int = 42) -> np.ndarray:
     """Isolation-forest anomaly score 2^(-E[h(x)] / c(s)) in (0, 1).
 
     Trees split on a uniformly random feature at a uniformly random cut in
     the node's subsample range, height-limited at ceil(log2 s).
     """
-    x_train = _values(train)
-    x_test = _values(test)
-    if n_trees < 1:
-        raise DataError("n_trees must be at least 1")
-    n = x_train.shape[0]
-    if n == 0:
-        raise DataError("empty training matrix")
-    s = min(subsample, n)
+    n = train.shape[0]
+    if n < 2:
+        raise DataError(f"isolation forest needs at least two training rows, got {n}")
+    s = min(IF_SUBSAMPLE, n)
     limit = max(1, math.ceil(math.log2(max(s, 2))))
-    trees = []
-    for child in seed_sequence(seed, TAG_FOREST).spawn(n_trees):
+    total = np.zeros(test.shape[0])
+    for child in seed_sequence(seed, TAG_FOREST).spawn(IF_TREES):
         rng = np.random.default_rng(child)
-        sample = x_train[rng.choice(n, size=s, replace=False)]
-        trees.append(_grow_tree(sample, rng, depth=0, limit=limit))
-    normalizer = _average_path_length(s)
-    scores = np.empty(x_test.shape[0])
-    for i, row in enumerate(x_test):
-        mean_path = sum(_path_length(tree, row) for tree in trees) / n_trees
-        scores[i] = 2.0 ** (-mean_path / normalizer)
-    return scores
+        sample = train[rng.choice(n, size=s, replace=False)]
+        total += _grow_tree(sample, rng, limit).path_lengths(test)
+    exponents = -(total / IF_TREES) / _average_path_length(s)
+    # Python's float power (libm), not np.power, whose SIMD code may differ
+    # in the last bit.
+    return np.array([2.0**e for e in exponents.tolist()])
 
 
 # Reference values from a prior published evaluation on the public

@@ -25,7 +25,7 @@ from .config import PipelineConfig, load_config_file
 from .errors import ConfigError, DataError, FlowSieveError, NumericError, SchemaError
 from .experiments import run_benchmark, run_grid, sensitivity_sweep
 from .metrics import ScenarioOutcome, build_eval_report, pr_curve, scenario_metrics, verdict_scores
-from .records import ATTACK_CLASSES, FlowRecord, LabelClass
+from .records import ATTACK_CLASSES, FlowRecord, LabelClass, Verdict
 from .synth import SynthConfig, generate
 
 DEFAULT_SEED = 42
@@ -221,16 +221,19 @@ def _cmd_train(args) -> int:
     config = _build_config(args)
     training, validation, _ = _load_partitions(Path(args.data))
     trained = pipeline.train_pipeline(training, validation, config)
-    outdir = Path(args.outdir)
-    with _StagedWriter() as writer:
-        writer.write_text(outdir / FILTER1_FILE, json.dumps(trained.filter1.to_dict()) + "\n")
-        writer.write_text(outdir / FILTER2_FILE, json.dumps(trained.filter2.to_dict()) + "\n")
-        writer.commit()
+    _write_models(Path(args.outdir), trained)
     print(
         f"trained: d={trained.recipe.dimension}, epochs={len(trained.filter1.training_history)}, "
         f"th_frequent={trained.th_frequent:.6g}, k*={trained.filter2.k_star}"
     )
     return 0
+
+
+def _write_models(models_dir: Path, trained: pipeline.TrainedPipeline) -> None:
+    with _StagedWriter() as writer:
+        writer.write_text(models_dir / FILTER1_FILE, trained.filter1.to_json())
+        writer.write_text(models_dir / FILTER2_FILE, trained.filter2.to_json())
+        writer.commit()
 
 
 def _load_models(models_dir: Path) -> tuple[Filter1Model, Filter2Model]:
@@ -260,11 +263,8 @@ def _cmd_calibrate(args) -> int:
     filter1, filter2 = _load_models(Path(args.models))
     _, validation, _ = _load_partitions(Path(args.data))
     trained = _pipeline_from_models(config, filter1, filter2)
-    recalibrated = pipeline.recalibrate(trained, validation, trained.config)
-    with _StagedWriter() as writer:
-        writer.write_text(Path(args.models) / FILTER1_FILE, json.dumps(recalibrated.filter1.to_dict()) + "\n")
-        writer.write_text(Path(args.models) / FILTER2_FILE, json.dumps(recalibrated.filter2.to_dict()) + "\n")
-        writer.commit()
+    recalibrated = pipeline.recalibrate(trained, validation)
+    _write_models(Path(args.models), recalibrated)
     thresholds = recalibrated.filter2.per_cluster_thresholds or []
     print(
         f"calibrated: th_frequent={recalibrated.th_frequent:.6g}, "
@@ -372,24 +372,44 @@ def _parse_confusion_tokens(tokens: Sequence[str]) -> ScenarioOutcome:
     )
 
 
-def _read_verdict_csv(path: Path):
-    from .records import Verdict
+def _non_negative_float(text: str) -> float:
+    value = float(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
 
+
+def _read_verdict_csv(path: Path):
+    """Verdicts and actual labels of a file detect wrote; a missing column
+    or a cell that does not parse is a data error naming it."""
     verdicts, labels = [], []
     with open(path, "r", encoding="utf-8", newline="") as stream:
         reader = csv.DictReader(stream)
+        missing = [column for column in VERDICT_HEADER if column not in (reader.fieldnames or ())]
+        if missing:
+            raise DataError(f"verdict file {path} lacks column(s) {', '.join(missing)}")
+
+        def cell(row: dict, column: str, parse=float):
+            try:
+                return parse(row[column] or "")
+            except ValueError:
+                raise DataError(
+                    f"verdict file {path} line {reader.line_num}: invalid {column} {row[column]!r}"
+                ) from None
+
         for i, row in enumerate(reader):
-            labels.append(LabelClass.parse(row["actual_label"]))
+            labels.append(cell(row, "actual_label", LabelClass.parse))
+            mse = cell(row, "mse", _non_negative_float)
             if row["frequent"] == "true":
-                verdicts.append(Verdict.for_frequent(i, float(row["mse"])))
+                verdicts.append(Verdict.for_frequent(i, mse))
             else:
                 verdicts.append(
                     Verdict.for_infrequent(
                         i,
-                        float(row["mse"]),
-                        int(row["assigned_cluster"]),
-                        float(row["distance"]),
-                        float(row["tanh_score"]),
+                        mse,
+                        cell(row, "assigned_cluster", int),
+                        cell(row, "distance"),
+                        cell(row, "tanh_score"),
                         row["final_label"] == "benign",
                     )
                 )

@@ -296,8 +296,8 @@ class Filter2Model:
             notes=list(data.get("notes", [])),
         )
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict()), encoding="utf-8")
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict()) + "\n"
 
     @classmethod
     def load(cls, path: str | Path) -> "Filter2Model":

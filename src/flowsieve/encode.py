@@ -162,9 +162,12 @@ def _active_features(ip_treatment: IpTreatment):
 
 
 def _numeric_column(flows: list[FlowRecord], name: str, treatment: NumericTreatment) -> np.ndarray:
-    """One numeric column after its treatment; a non-finite value fails,
-    naming the column and the number of rows that hold one."""
-    values = np.array([_NUMERIC_GETTERS[name](flow) for flow in flows], dtype=float)
+    """One numeric column after its treatment; a value beyond float range
+    or not finite after the treatment fails, naming the column."""
+    try:
+        values = np.array([_NUMERIC_GETTERS[name](flow) for flow in flows], dtype=float)
+    except OverflowError:
+        raise DataError(f"column {name!r} holds an integer beyond float range") from None
     if treatment is NumericTreatment.LOG1P:
         with np.errstate(invalid="ignore", divide="ignore"):
             values = np.log1p(values)

@@ -23,7 +23,7 @@ from .config import (
 )
 from .errors import DataError, FlowSieveError
 from .metrics import EvalReport, auprc, macro_average, verdict_scores
-from .pipeline import evaluate_pipeline, train_pipeline
+from .pipeline import classify_matrix, evaluate_pipeline, train_encoded, train_pipeline
 from .records import ATTACK_CLASSES, FlowRecord
 
 GRID_AXES: dict[str, tuple] = {
@@ -173,41 +173,34 @@ def run_benchmark(
     config: PipelineConfig,
 ) -> baselines.BenchmarkReport:
     """AUPRC comparison of the two-step pipeline against the one-step
-    detectors, all on the same encoding."""
-    trained = train_pipeline(training, validation, config)
-    report, verdicts = evaluate_pipeline(trained, test)
-
+    detectors, all on the same encoded matrices; the one-step autoencoder
+    is the pipeline's frequency filter used alone."""
     labels = [flow.actual_label for flow in test]
     present = [s for s in ATTACK_CLASSES if any(l is s for l in labels)]
     if not present:
         raise DataError("benchmark needs attack-labeled test flows")
 
-    train_matrix = encode.apply_recipe(list(training), trained.recipe)
-    val_matrix = encode.apply_recipe(list(validation), trained.recipe)
-    test_matrix = encode.apply_recipe(list(test), trained.recipe)
+    recipe = encode.fit_recipe(list(training), config)
+    train_matrix, val_matrix, test_matrix = (
+        encode.apply_recipe(list(flows), recipe) for flows in (training, validation, test)
+    )
+    trained = train_encoded(recipe, train_matrix, val_matrix, config)
+    verdicts = classify_matrix(trained, test_matrix)
 
     notes = ["all reproduced detectors share the pipeline's feature encoding"]
-    lof_train, lof_capped = _capped(
-        train_matrix.values, BENCH_LOF_MAX_TRAIN, config.rng_seed, 1
-    )
-    if lof_capped:
-        notes.append(f"lof fitted on a seeded sample of {BENCH_LOF_MAX_TRAIN} training rows")
-    kmeans_train, kmeans_capped = _capped(
-        train_matrix.values, BENCH_KMEANS_MAX_TRAIN, config.rng_seed, 2
-    )
-    if kmeans_capped:
-        notes.append(
-            f"kmeans fitted on a seeded sample of {BENCH_KMEANS_MAX_TRAIN} training rows"
-        )
+    capped_train = {}
+    for name, cap, tag in (("lof", BENCH_LOF_MAX_TRAIN, 1), ("kmeans", BENCH_KMEANS_MAX_TRAIN, 2)):
+        capped_train[name], capped = _capped(train_matrix.values, cap, config.rng_seed, tag)
+        if capped:
+            notes.append(f"{name} fitted on a seeded sample of {cap} training rows")
 
+    x_test = test_matrix.values
     score_sets = {
         "two_step": verdict_scores(verdicts),
-        "autoencoder": baselines.score_ae_one_step(train_matrix, val_matrix, test_matrix, config),
-        "kmeans": baselines.score_kmeans_one_step(kmeans_train, test_matrix, config),
-        "lof": baselines.score_lof(lof_train, test_matrix),
-        "isolation_forest": baselines.score_if(
-            train_matrix, test_matrix, seed=config.rng_seed
-        ),
+        "autoencoder": baselines.score_ae_one_step(trained.filter1, x_test),
+        "kmeans": baselines.score_kmeans_one_step(capped_train["kmeans"], x_test, config),
+        "lof": baselines.score_lof(capped_train["lof"], x_test),
+        "isolation_forest": baselines.score_if(train_matrix.values, x_test, seed=config.rng_seed),
     }
     rows: dict[str, dict] = {}
     for name, scores in score_sets.items():

@@ -81,14 +81,23 @@ def train_pipeline(
     validation_flows: Sequence[FlowRecord],
     config: PipelineConfig,
 ) -> TrainedPipeline:
-    if not training_flows:
-        raise DataError("empty training partition")
-    if not validation_flows:
-        raise DataError("empty validation partition")
-
     recipe = encode.fit_recipe(list(training_flows), config)
     train_matrix = encode.apply_recipe(list(training_flows), recipe)
     val_matrix = encode.apply_recipe(list(validation_flows), recipe)
+    return train_encoded(recipe, train_matrix, val_matrix, config)
+
+
+def train_encoded(
+    recipe: EncodingRecipe,
+    train_matrix: FeatureMatrix,
+    val_matrix: FeatureMatrix,
+    config: PipelineConfig,
+) -> TrainedPipeline:
+    """Train and calibrate both filters on partitions encoded by `recipe`."""
+    if train_matrix.n_rows == 0:
+        raise DataError("empty training partition")
+    if val_matrix.n_rows == 0:
+        raise DataError("empty validation partition")
 
     filter1 = autoencoder.train_filter1(train_matrix, val_matrix, config)
     th_frequent = autoencoder.set_frequency_threshold(filter1, val_matrix, config.pctl_frequent)
@@ -106,11 +115,9 @@ def train_pipeline(
     return TrainedPipeline(config=config, filter1=filter1, filter2=filter2)
 
 
-def recalibrate(
-    pipeline: TrainedPipeline, validation_flows: Sequence[FlowRecord], config: Optional[PipelineConfig] = None
-) -> TrainedPipeline:
+def recalibrate(pipeline: TrainedPipeline, validation_flows: Sequence[FlowRecord]) -> TrainedPipeline:
     """Recompute both thresholds on (new) validation flows."""
-    config = config or pipeline.config
+    config = pipeline.config
     val_matrix = encode.apply_recipe(list(validation_flows), pipeline.recipe)
     th_frequent = autoencoder.set_frequency_threshold(
         pipeline.filter1, val_matrix, config.pctl_frequent

@@ -203,7 +203,7 @@ class TestSerialization:
         model.th_frequent = 0.123
         model.training_history = [0.5, 0.4]
         path = tmp_path / "filter1.json"
-        model.save(path)
+        path.write_text(model.to_json(), encoding="utf-8")
         loaded = autoencoder.Filter1Model.load(path)
         assert loaded.layer_dims == model.layer_dims
         assert loaded.th_frequent == model.th_frequent

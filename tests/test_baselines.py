@@ -1,11 +1,14 @@
 import math
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
 
-from flowsieve import baselines, metrics
+from flowsieve import autoencoder, baselines, metrics
 from flowsieve.config import PipelineConfig
 from flowsieve.errors import DataError
+from flowsieve.stats import TAG_FOREST, seed_sequence
 
 
 def brute_force_lof(train, test, k):
@@ -158,7 +161,8 @@ class TestAeOneStep:
         train_m = encode.apply_recipe(training[:500], recipe)
         val_m = encode.apply_recipe(validation[:200], recipe)
         test_m = encode.apply_recipe(test[:150], recipe)
-        scores = baselines.score_ae_one_step(train_m, val_m, test_m, config)
+        model = autoencoder.train_filter1(train_m, val_m, config)
+        scores = baselines.score_ae_one_step(model, test_m.values)
         assert scores.shape == (150,)
         assert np.isfinite(scores).all()
 
@@ -167,8 +171,136 @@ class TestAeOneStep:
         # equal, so average precision collapses to the positive prevalence
         constant = np.full((64, 4), 0.4)
         config = PipelineConfig(epochs_max=30, batch_size=8, rng_seed=10)
-        scores = baselines.score_ae_one_step(constant, constant, constant, config)
+        model = autoencoder.train_filter1(constant, constant, config)
+        scores = baselines.score_ae_one_step(model, constant)
         assert np.allclose(scores, scores[0], atol=1e-12)
         positives = np.array([True] * 16 + [False] * 48)
         ap = metrics.average_precision(scores, positives)
         assert ap == pytest.approx(0.25, abs=1e-6)
+
+
+# Reference: the isolation forest as a tree of node objects, walked once
+# per test row, as it was before the trees became node arrays.
+@dataclass
+class _OracleNode:
+    size: int
+    feature: int = -1
+    cut: float = 0.0
+    left: Optional["_OracleNode"] = None
+    right: Optional["_OracleNode"] = None
+
+
+def _oracle_grow(x, rng, depth, limit):
+    size = x.shape[0]
+    if size <= 1 or depth >= limit:
+        return _OracleNode(size=size)
+    mins = x.min(axis=0)
+    maxs = x.max(axis=0)
+    splittable = np.flatnonzero(maxs > mins)
+    if splittable.size == 0:
+        return _OracleNode(size=size)
+    feature = int(rng.choice(splittable))
+    cut = float(rng.uniform(mins[feature], maxs[feature]))
+    mask = x[:, feature] < cut
+    if not mask.any() or mask.all():
+        return _OracleNode(size=size)
+    return _OracleNode(
+        size=size,
+        feature=feature,
+        cut=cut,
+        left=_oracle_grow(x[mask], rng, depth + 1, limit),
+        right=_oracle_grow(x[~mask], rng, depth + 1, limit),
+    )
+
+
+def _oracle_forest(train, seed, n_trees=100, subsample=256):
+    n = train.shape[0]
+    s = min(subsample, n)
+    limit = max(1, math.ceil(math.log2(max(s, 2))))
+    trees = []
+    for child in seed_sequence(seed, TAG_FOREST).spawn(n_trees):
+        rng = np.random.default_rng(child)
+        sample = train[rng.choice(n, size=s, replace=False)]
+        trees.append(_oracle_grow(sample, rng, depth=0, limit=limit))
+    return trees, s
+
+
+def _oracle_path_length(node, row):
+    depth = 0
+    while node.left is not None:
+        node = node.left if row[node.feature] < node.cut else node.right
+        depth += 1
+    return depth + baselines._average_path_length(node.size)
+
+
+def _oracle_score_if(train, test, seed):
+    trees, s = _oracle_forest(train, seed)
+    normalizer = baselines._average_path_length(s)
+    scores = np.empty(test.shape[0])
+    for i, row in enumerate(test):
+        mean_path = sum(_oracle_path_length(tree, row) for tree in trees) / len(trees)
+        scores[i] = 2.0 ** (-mean_path / normalizer)
+    return scores
+
+
+def _oracle_root_cuts(train, seed):
+    """(feature, cut) of the root of every reference tree that splits; every
+    test row is compared with each of them."""
+    trees = _oracle_forest(train, seed)[0]
+    return [(tree.feature, tree.cut) for tree in trees if tree.left is not None]
+
+
+class TestIsolationForestOracle:
+    """The node-array forest gives bit-identical scores to the node-object
+    reference."""
+
+    @staticmethod
+    def _assert_identical(train, test, seed):
+        got = baselines.score_if(train, test, seed=seed)
+        want = _oracle_score_if(train, test, seed)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_random_data(self, seed):
+        rng = np.random.default_rng(seed)
+        train = rng.random((600, 5))
+        test = np.vstack([rng.random((150, 5)), rng.random((20, 5)) * 3.0 - 1.0])
+        self._assert_identical(train, test, seed)
+
+    def test_duplicate_rows(self):
+        rng = np.random.default_rng(11)
+        distinct = np.round(rng.random((12, 3)), 1)
+        train = distinct[rng.integers(0, 12, size=400)]
+        test = np.vstack([distinct, train[:30]])
+        self._assert_identical(train, test, 42)
+
+    def test_constant_columns(self):
+        rng = np.random.default_rng(12)
+        train = rng.random((300, 4))
+        train[:, 1] = 0.5
+        train[:, 3] = 0.0
+        test = rng.random((80, 4))
+        self._assert_identical(train, test, 42)
+        # every row identical: each tree is a single leaf
+        self._assert_identical(np.full((50, 3), 0.25), test[:, :3], 42)
+
+    def test_fewer_rows_than_the_subsample(self):
+        rng = np.random.default_rng(13)
+        train = rng.random((40, 3))
+        test = rng.random((60, 3))
+        self._assert_identical(train, test, 7)
+        self._assert_identical(train[:2], test, 7)
+
+    def test_test_values_equal_to_a_cut(self):
+        rng = np.random.default_rng(14)
+        train = rng.random((500, 4))
+        cuts = _oracle_root_cuts(train, 42)
+        assert len(cuts) == 100
+        test = rng.random((len(cuts), 4))
+        for row, (feature, cut) in zip(test, cuts):
+            row[feature] = cut
+        self._assert_identical(train, test, 42)
+
+    def test_one_training_row_is_refused(self):
+        with pytest.raises(DataError):
+            baselines.score_if(np.zeros((1, 2)), np.zeros((3, 2)))

@@ -31,6 +31,16 @@ def workdir(tmp_path_factory):
     return root
 
 
+def _rewrite_csv(source, target, edit):
+    """Copy a CSV, letting edit(header, rows) change its cells in place."""
+    with open(source, newline="") as stream:
+        header, *rows = list(csv.reader(stream))
+    edit(header, rows)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    with open(target, "w", newline="") as stream:
+        csv.writer(stream, lineterminator="\n").writerows([header, *rows])
+
+
 class TestPipelineComposability:
     def test_artifacts_exist(self, workdir):
         assert (workdir / "data" / "training.csv").exists()
@@ -293,6 +303,73 @@ class TestErrorPaths:
         assert not out.exists()
         error = capsys.readouterr().err
         assert f"'octet_delta_count' is not finite after log1p in 2 of {len(rows) - 1} rows" in error
+
+    def test_integer_beyond_float_range_is_data_error(self, workdir, tmp_path, capsys):
+        def widen(header, rows):
+            rows[0][header.index("octet_delta_count")] = "9" * 401
+
+        edited = tmp_path / "test.csv"
+        _rewrite_csv(workdir / "data" / "test.csv", edited, widen)
+        out = tmp_path / "verdicts.csv"
+        assert self._detect(workdir, out, input_csv=edited) == 2
+        assert not out.exists()
+        assert "'octet_delta_count' holds an integer beyond float range" in capsys.readouterr().err
+
+        data = tmp_path / "data"
+        for name in ("validation.csv", "test.csv"):
+            _rewrite_csv(workdir / "data" / name, data / name, lambda header, rows: None)
+        _rewrite_csv(workdir / "data" / "training.csv", data / "training.csv", widen)
+        models = tmp_path / "models"
+        assert main(["train", "--data", str(data), "--outdir", str(models)]) == 2
+        assert not models.exists() or not list(models.iterdir())
+        assert "'octet_delta_count' holds an integer beyond float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "column, edit",
+        [
+            ("assigned_cluster", "blank_cluster"),
+            ("actual_label", "unknown_label"),
+            ("mse", "negative_mse"),
+            ("mse", "missing_mse"),
+        ],
+    )
+    def test_malformed_verdict_file_is_data_error(self, workdir, tmp_path, capsys, column, edit):
+        verdicts = tmp_path / "verdicts.csv"
+        assert self._detect(workdir, verdicts) == 0
+        line = {}
+
+        def damage(header, rows):
+            at = header.index(column)
+            if edit == "missing_mse":
+                for row in [header, *rows]:
+                    del row[at]
+                return
+            if edit == "blank_cluster":
+                index = next(i for i, row in enumerate(rows) if row[header.index("frequent")] == "false")
+            else:
+                index = 3
+            rows[index][at] = {"blank_cluster": "", "unknown_label": "bogus", "negative_mse": "-1"}[edit]
+            line["number"] = index + 2  # the header is line 1
+
+        edited = tmp_path / "edited.csv"
+        _rewrite_csv(verdicts, edited, damage)
+        report = tmp_path / "report.json"
+        assert main(["eval", "--verdicts", str(edited), "--out", str(report)]) == 2
+        assert not report.exists()
+        error = capsys.readouterr().err
+        assert column in error
+        if line:
+            assert f"line {line['number']}:" in error
+
+    def test_bench_refuses_an_empty_validation_partition(self, workdir, tmp_path, capsys):
+        data = tmp_path / "data"
+        for name in ("training.csv", "test.csv"):
+            _rewrite_csv(workdir / "data" / name, data / name, lambda header, rows: None)
+        _rewrite_csv(workdir / "data" / "validation.csv", data / "validation.csv", lambda header, rows: rows.clear())
+        out = tmp_path / "bench.json"
+        assert main(["bench", "--data", str(data), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "empty validation partition" in capsys.readouterr().err
 
     def test_no_partial_outputs_on_failure(self, tmp_path, workdir):
         # train with an un-trainable configuration must leave no artifacts

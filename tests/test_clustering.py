@@ -479,7 +479,7 @@ class TestSerialization:
             notes=["hello"],
         )
         path = tmp_path / "filter2.json"
-        model.save(path)
+        path.write_text(model.to_json(), encoding="utf-8")
         loaded = clustering.Filter2Model.load(path)
         assert loaded.k_star == 2
         assert np.array_equal(loaded.centroids, model.centroids)

@@ -129,6 +129,16 @@ class TestNonFiniteEncoding:
         matrix = encode.apply_recipe([make_record(octet_delta_count=-5)], recipe)
         assert matrix.values[0, matrix.columns.index("octet_delta_count")] == 0.0
 
+    @pytest.mark.parametrize("treatment", list(NumericTreatment))
+    def test_integers_beyond_float_range_name_the_column(self, treatment):
+        huge = 10**400
+        config = _config(numeric_treatment=treatment)
+        with pytest.raises(DataError, match=r"'octet_delta_count' holds an integer beyond float range"):
+            encode.fit_recipe([make_record(), make_record(octet_delta_count=huge)], config)
+        recipe = encode.fit_recipe([make_record(), make_record(octet_delta_count=9000)], config)
+        with pytest.raises(DataError, match=r"'packet_delta_count' holds an integer beyond float range"):
+            encode.apply_recipe([make_record(packet_delta_count=-huge)], recipe)
+
 
 class TestFitPca:
     def test_isotropic_gaussian_ratios(self):

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from flowsieve import ingest
+from flowsieve import autoencoder, encode, experiments, ingest
 from flowsieve.config import (
     ClusteringFeatures,
     DistanceMode,
@@ -8,6 +9,7 @@ from flowsieve.config import (
     NumericTreatment,
     PipelineConfig,
 )
+from flowsieve.errors import DataError
 from flowsieve.experiments import (
     GRID_AXES,
     grid_configs,
@@ -15,6 +17,9 @@ from flowsieve.experiments import (
     run_grid,
     sensitivity_sweep,
 )
+from flowsieve.metrics import auprc, macro_average
+from flowsieve.pipeline import classify_flows, train_pipeline
+from flowsieve.records import ATTACK_CLASSES, LabelClass
 from flowsieve.synth import SynthConfig, generate
 
 
@@ -131,3 +136,39 @@ class TestBenchmark:
         # the planted anomalies are separable, so the two-step pipeline
         # must do well in absolute terms here
         assert report.rows["two_step"]["macro"] > 0.9
+
+    def test_autoencoder_row_equals_a_separately_trained_one_step_autoencoder(self, small_partitions):
+        # reference: the one-step autoencoder as a second train_filter1 on
+        # partitions encoded again under the pipeline's recipe
+        training, validation, test = small_partitions
+        config = PipelineConfig(rng_seed=5, epochs_max=8, patience_max=8, k_max=4)
+        trained = train_pipeline(training, validation, config)
+        train_m, val_m, test_m = (
+            encode.apply_recipe(list(flows), trained.recipe) for flows in (training, validation, test)
+        )
+        separate = autoencoder.compute_mse(autoencoder.train_filter1(train_m, val_m, config), test_m)
+        assert np.array_equal(separate, [v.mse for v in classify_flows(trained, test)])
+
+        labels = [flow.actual_label for flow in test]
+        want = {s.value: auprc(separate, labels, s) for s in ATTACK_CLASSES}
+        want["macro"] = macro_average(list(want.values()))
+        report = run_benchmark(training, validation, test, config)
+        assert report.rows["autoencoder"] == want
+
+    def test_test_flows_without_attacks_fail_before_training(self, small_partitions, monkeypatch):
+        training, validation, test = small_partitions
+        benign = [flow for flow in test if flow.actual_label is LabelClass.ASSUMED_BENIGN]
+
+        def no_encoding(*args):
+            raise AssertionError("encoded before the label check")
+
+        monkeypatch.setattr(experiments.encode, "fit_recipe", no_encoding)
+        with pytest.raises(DataError, match="attack-labeled"):
+            run_benchmark(training, validation, benign, PipelineConfig(rng_seed=3))
+
+    def test_empty_partitions_are_data_errors(self, small_partitions):
+        training, validation, test = small_partitions
+        with pytest.raises(DataError, match="empty validation partition"):
+            run_benchmark(training, [], test, PipelineConfig(rng_seed=3))
+        with pytest.raises(DataError):
+            run_benchmark([], validation, test, PipelineConfig(rng_seed=3))

@@ -67,3 +67,32 @@ def test_install_wraps_every_name_and_uninstall_restores_them(tracer_module):
     assert counts["clustering.silhouette_rows"] == 12
     assert counts["autoencoder.fits"] == 1
     assert counts["autoencoder.epochs"] == 1
+
+
+def test_bench_fits_the_autoencoder_once_and_encodes_every_flow_once(tracer_module):
+    from flowsieve import ingest
+    from flowsieve.config import PipelineConfig
+    from flowsieve.experiments import run_benchmark
+    from flowsieve.synth import SynthConfig, generate
+
+    synth = SynthConfig(days=3, split_days=(1, 1, 1), seed=42)
+    cleansed, _ = ingest.preprocess(generate(synth))
+    parts = ingest.partition_chronologically(
+        cleansed, split_days=synth.split_days, lab_network_id=synth.lab_network_id
+    )
+    flows = (parts.training, parts.validation, parts.test)
+    config = PipelineConfig(epochs_max=3, patience_max=3, k_max=3)
+
+    tracer = tracer_module.Tracer()
+    tracer.begin_session(0)
+    tracer.begin_step(0)
+    tracer.install()
+    try:
+        run_benchmark(*flows, config)
+    finally:
+        tracer.uninstall()
+    assert not _package_wrappers()
+    counts = tracer.counts
+    assert counts["autoencoder.fits"] == 1
+    assert counts["autoencoder.redundant_fits"] == 0
+    assert counts["encode.rows_encoded"] == sum(len(part) for part in flows)
