@@ -160,10 +160,6 @@ def _forward(model: Filter1Model, x: np.ndarray) -> list[np.ndarray]:
     return activations
 
 
-def reconstruct(model: Filter1Model, x: np.ndarray) -> np.ndarray:
-    return _forward(model, np.atleast_2d(x))[-1]
-
-
 def bottleneck_activations(model: Filter1Model, x: np.ndarray) -> np.ndarray:
     return _forward(model, np.atleast_2d(x))[_BOTTLENECK_INDEX]
 
@@ -315,11 +311,7 @@ def with_threshold(model: Filter1Model, th_frequent: float) -> Filter1Model:
     return replace(model, th_frequent=th_frequent)
 
 
-def classify_frequent(mse: float, th_frequent: float) -> bool:
+def classify_frequent_rows(mses: np.ndarray, th_frequent: float) -> np.ndarray:
     """A flow is frequent iff its reconstruction error is strictly below
     the frequency threshold."""
-    return mse < th_frequent
-
-
-def classify_frequent_rows(mses: np.ndarray, th_frequent: float) -> np.ndarray:
     return np.asarray(mses) < th_frequent

@@ -51,7 +51,11 @@ def _knn_among_train(
     """k nearest training rows per query; ties break by training index.
 
     Queries are processed in chunks so the full pairwise matrix is never
-    materialized.
+    materialized. Each row's k-th smallest distance is found by selection.
+    The row keeps every distance below it and, of the ties at it, the
+    lowest-indexed ones until it holds k; these k are sorted by (distance,
+    index). So the result equals the first k of a stable sort of the whole
+    row, at a cost that does not grow with the number of ties.
     """
     n_queries = queries.shape[0]
     order = np.empty((n_queries, k), dtype=int)
@@ -60,13 +64,25 @@ def _knn_among_train(
         stop = min(start + _KNN_CHUNK, n_queries)
         dists = pairwise_dists(queries[start:stop], train)
         if exclude_self:
-            rows = np.arange(start, stop)
-            dists[rows - start, rows] = np.inf
-        # Sort by (distance, index): argsort is stable, index is the tiebreak.
-        chunk_order = np.argsort(dists, axis=1, kind="stable")[:, :k]
-        chunk_rows = np.arange(stop - start)[:, None]
-        order[start:stop] = chunk_order
-        ordered_dists[start:stop] = dists[chunk_rows, chunk_order]
+            own = np.arange(start, stop)
+            dists[own - start, own] = np.inf
+        kth = np.partition(dists, k - 1, axis=1)[:, k - 1, None]
+        if np.isnan(kth).any():
+            raise DataError("nearest-neighbor distances hold NaN")
+        keep = dists < kth
+        tied = dists == kth
+        # np.nonzero runs row by row in column order, so a tie's rank in its
+        # row is its position after the row's first tie.
+        tied_rows, tied_cols = np.nonzero(tied)
+        ties = np.count_nonzero(tied, axis=1)
+        tie_rank = np.arange(tied_rows.size) - np.repeat(np.cumsum(ties) - ties, ties)
+        taken = tie_rank < (k - np.count_nonzero(keep, axis=1))[tied_rows]
+        keep[tied_rows[taken], tied_cols[taken]] = True
+        rows, cols = np.nonzero(keep)
+        candidates = dists[rows, cols]
+        chosen = np.lexsort((cols, candidates, rows)).reshape(-1, k)
+        order[start:stop] = cols[chosen]
+        ordered_dists[start:stop] = candidates[chosen]
     return order, ordered_dists
 
 
@@ -137,10 +153,11 @@ def _grow_tree(x: np.ndarray, rng: np.random.Generator, limit: int) -> _Isolatio
         splittable = np.flatnonzero(maxs > mins)
         if splittable.size == 0:
             return node
-        feature = int(rng.choice(splittable))
+        # Draws the same stream as rng.choice(splittable).
+        feature = int(splittable[rng.integers(0, splittable.size)])
         cut = float(rng.uniform(mins[feature], maxs[feature]))
         mask = x[:, feature] < cut
-        if not mask.any() or mask.all():
+        if not 0 < np.count_nonzero(mask) < x.shape[0]:
             return node
         grow(x[mask], depth + 1)  # the left child is node + 1
         nodes[node] = (feature, cut, grow(x[~mask], depth + 1), 0.0)

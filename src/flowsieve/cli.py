@@ -162,9 +162,11 @@ def _cmd_ingest(args) -> int:
     split = tuple(int(v) for v in args.split.split(","))
     if len(split) != 3:
         raise UsageError("--split expects three comma-separated day counts")
-    records, parse_report = ingest.parse_dataset(Path(args.input))
+    records, parse_report = ingest.parse_dataset(Path(args.input), float_range=True)
     if not records:
         raise DataError("no parseable rows in input")
+    # A capture lacks the first inter-arrival time of every device, so this
+    # recomputes all of them and overwrites those the input carried.
     needs_iat = any(r.inter_arrival_time_milliseconds is None for r in records)
     if needs_iat:
         records = ingest.compute_iat(records)

@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .config import ClusteringFeatures, DistanceMode, PipelineConfig
-from .encode import FeatureMatrix, PcaBasis
+from .encode import PcaBasis
 from .errors import DataError, DegenerateDataError, SchemaError, artifact_field
 from .stats import (
     TAG_KMEANS,
@@ -41,6 +41,9 @@ _SILHOUETTE_CHUNK = 512
 # Below this row count distances come from direct differences, which are
 # exact where the squared-norm expansion suffers cancellation.
 _SILHOUETTE_EXACT_N = 2048
+# Rows per block of direct differences: a block against n rows of d
+# features is a (block, n, d) temporary.
+_DIRECT_BLOCK = 8
 
 
 @dataclass
@@ -51,12 +54,8 @@ class KMeansResult:
     inertia_history: list[float]
 
 
-def _values(matrix: Union[FeatureMatrix, np.ndarray]) -> np.ndarray:
-    return matrix.values if isinstance(matrix, FeatureMatrix) else np.asarray(matrix, dtype=float)
-
-
-def _finite_values(matrix: Union[FeatureMatrix, np.ndarray]) -> np.ndarray:
-    x = _values(matrix)
+def _finite_values(matrix: np.ndarray) -> np.ndarray:
+    x = np.asarray(matrix, dtype=float)
     if not np.isfinite(x).all():
         raise DataError("clustering input holds NaN or infinite values")
     return x
@@ -130,7 +129,7 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray) -> KMeansResu
 
 
 def kmeans_fit(
-    matrix: Union[FeatureMatrix, np.ndarray], k: int, seed: int, restarts: int = KMEANS_RESTARTS
+    matrix: np.ndarray, k: int, seed: int, restarts: int = KMEANS_RESTARTS
 ) -> KMeansResult:
     """Best of `restarts` seeded k-means++/Lloyd runs by inertia."""
     x = _finite_values(matrix)
@@ -150,9 +149,7 @@ def kmeans_fit(
     return best
 
 
-def silhouette_mean(
-    matrix: Union[FeatureMatrix, np.ndarray], assignments: np.ndarray
-) -> float:
+def silhouette_mean(matrix: np.ndarray, assignments: np.ndarray) -> float:
     """Mean silhouette over all points.
 
     Per point: a = mean distance to co-cluster points (excluding itself),
@@ -164,28 +161,40 @@ def silhouette_mean(
     return silhouette_means(matrix, [assignments])[0]
 
 
-def silhouette_means(
-    matrix: Union[FeatureMatrix, np.ndarray], assignment_sets: Sequence[np.ndarray]
-) -> list[float]:
+def silhouette_means(matrix: np.ndarray, assignment_sets: Sequence[np.ndarray]) -> list[float]:
     """`silhouette_mean` of each clustering of the same rows.
 
     Each chunk of pairwise distances is computed once and scored against
     every clustering, so scoring many clusterings costs little more than
     scoring one; each score is bit-identical to a call of its own.
     """
-    x = _values(matrix)
+    x = np.asarray(matrix, dtype=float)
     n = x.shape[0]
     tallies = [_SilhouetteTally(assignments, n) for assignments in assignment_sets]
+    exact = _direct_distances(x) if n <= _SILHOUETTE_EXACT_N else None
     for start in range(0, n, _SILHOUETTE_CHUNK):
         stop = min(start + _SILHOUETTE_CHUNK, n)
-        if n <= _SILHOUETTE_EXACT_N:
-            diff = x[start:stop, None, :] - x[None, :, :]
-            dists = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        else:
-            dists = pairwise_dists(x[start:stop], x)
+        dists = pairwise_dists(x[start:stop], x) if exact is None else exact[start:stop]
         for tally in tallies:
             tally.add_chunk(start, stop, dists)
     return [tally.mean() for tally in tallies]
+
+
+def _direct_distances(x: np.ndarray) -> np.ndarray:
+    """All pairwise distances from direct differences, each pair computed
+    once: a few rows at a time against themselves and every later row,
+    mirrored into the lower triangle. fl(a - b) = -fl(b - a), so the
+    mirrored distance sums the same squares in the same order and equals
+    the one computed the other way round bit for bit."""
+    n = x.shape[0]
+    dists = np.empty((n, n))
+    for start in range(0, n, _DIRECT_BLOCK):
+        stop = min(start + _DIRECT_BLOCK, n)
+        diff = x[start:stop, None, :] - x[None, start:, :]
+        block = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        dists[start:stop, start:] = block
+        dists[start:, start:stop] = block.T
+    return dists
 
 
 class _SilhouetteTally:
@@ -308,7 +317,7 @@ def _float_array(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
-def train_filter2(matrix: Union[FeatureMatrix, np.ndarray], config: PipelineConfig) -> Filter2Model:
+def train_filter2(matrix: np.ndarray, config: PipelineConfig) -> Filter2Model:
     """Fit k-means for every k in [k_min, k_max] and keep the fit with the
     best mean silhouette (ties break to the smallest k).
 
@@ -438,7 +447,7 @@ def assign_and_distance(model: Filter2Model, x: np.ndarray) -> tuple[np.ndarray,
 
 
 def set_cluster_thresholds(
-    model: Filter2Model, validation: Union[FeatureMatrix, np.ndarray], pctl_known: float
+    model: Filter2Model, validation: np.ndarray, pctl_known: float
 ) -> list[float]:
     """Per-cluster nearest-rank percentile of the validation distances.
 
@@ -446,7 +455,7 @@ def set_cluster_thresholds(
     evidence that membership is benign, any future member counts as
     unknown.
     """
-    x = _values(validation)
+    x = np.asarray(validation, dtype=float)
     if x.shape[0] == 0:
         raise DataError("cannot calibrate cluster thresholds on an empty validation set")
     assignments, distances = assign_and_distance(model, x)

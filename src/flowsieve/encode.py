@@ -318,11 +318,6 @@ def pca_project(basis: PcaBasis, values: np.ndarray, n_components: Optional[int]
     return (values - basis.mean) @ basis.components[:k].T
 
 
-def pca_reconstruct(basis: PcaBasis, projected: np.ndarray) -> np.ndarray:
-    k = projected.shape[1]
-    return projected @ basis.components[:k] + basis.mean
-
-
 def project_features(
     matrix: FeatureMatrix,
     mode: ClusteringFeatures,

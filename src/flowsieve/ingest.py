@@ -114,6 +114,23 @@ def _parse_int(cell: str, what: str) -> int:
         raise ValueError(f"unparsable numeric {what}") from None
 
 
+# A cell of at most this many characters holds an integer below 10**308,
+# which converts to float; so does every cell of a row this short.
+_FLOAT_SAFE_CHARS = 308
+
+
+def _parse_int_in_float_range(cell: str, what: str = "integer") -> int:
+    """`_parse_int`, rejecting a value that has no float (encoding fails
+    on it)."""
+    value = _parse_int(cell, what)
+    if len(cell) > _FLOAT_SAFE_CHARS:
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"numeric {what} beyond float range") from None
+    return value
+
+
 def _parse_float(cell: str, what: str) -> float:
     try:
         value = float(cell)
@@ -147,16 +164,20 @@ def _parse_partition(cell: str) -> PartitionTag:
         raise ValueError("unknown partition") from None
 
 
-def parse_dataset(source: Union[str, Path, bytes, IO]) -> tuple[list[FlowRecord], ParseReport]:
+def parse_dataset(
+    source: Union[str, Path, bytes, IO], float_range: bool = False
+) -> tuple[list[FlowRecord], ParseReport]:
     """Parse a flow CSV into records plus a parse report.
 
     Every well-formed row becomes a FlowRecord; malformed rows are counted
     with a reason. A missing mandatory column or an empty stream raises
-    SchemaError.
+    SchemaError. With `float_range`, an integer cell beyond float range is
+    malformed too (`numeric <column> beyond float range`); ingest sets it,
+    so every partition it writes can be encoded.
     """
     stream = _open_source(source)
     try:
-        return _parse_stream(stream)
+        return _parse_stream(stream, float_range)
     finally:
         if isinstance(source, (str, Path)):
             stream.close()
@@ -166,7 +187,7 @@ def parse_dataset(source: Union[str, Path, bytes, IO]) -> tuple[list[FlowRecord]
 _PARSED_COLUMNS = CANONICAL_COLUMNS + (DESTINATION_PORT_COLUMN,)
 
 
-def _parse_stream(stream: IO[str]) -> tuple[list[FlowRecord], ParseReport]:
+def _parse_stream(stream: IO[str], float_range: bool) -> tuple[list[FlowRecord], ParseReport]:
     reader = csv.reader(stream)
     try:
         header = next(reader)
@@ -185,19 +206,28 @@ def _parse_stream(stream: IO[str]) -> tuple[list[FlowRecord], ParseReport]:
     width = max(picks) + 1
     pick = operator.itemgetter(*picks)
     strip = str.strip
-    row_to_record = _row_converter()
+    row_to_record = _row_converter(int, _parse_int)
+    # Only a row longer than _FLOAT_SAFE_CHARS can hold an integer beyond
+    # float range, so only such rows pay for the check.
+    long_row_to_record = (
+        _row_converter(_parse_int_in_float_range, _parse_int_in_float_range)
+        if float_range
+        else row_to_record
+    )
 
     records: list[FlowRecord] = []
     report = ParseReport()
     for row_index, row in enumerate(reader, start=1):
-        if not "".join(row).strip():
+        line = "".join(row)
+        if not line.strip():
             continue
         report.rows_read += 1
         if len(row) < width:
             row.extend([""] * (width - len(row)))
         row.append("")
+        convert = row_to_record if len(line) <= _FLOAT_SAFE_CHARS else long_row_to_record
         try:
-            records.append(row_to_record(*map(strip, pick(row))))
+            records.append(convert(*map(strip, pick(row))))
         except ValueError as exc:
             report.reject(row_index, str(exc))
     return records, report
@@ -206,13 +236,16 @@ def _parse_stream(stream: IO[str]) -> tuple[list[FlowRecord], ParseReport]:
 _UNSEEN = object()
 
 
-def _row_converter():
+def _row_converter(to_int, parse_int):
     """Return a row-to-record function over stripped cells in
     _PARSED_COLUMNS order, with its own memo of the label, partition and
     boolean cells it has parsed (failed parses are not remembered).
 
-    Fields are checked in a fixed order, so a row with several bad cells
-    is rejected for the first of them.
+    Integer cells are read with `to_int(cell)` a group at a time; when a
+    group fails, each of its cells is read again with `parse_int(cell,
+    column)`, whose error names the column. Fields are checked in a fixed
+    order, so a row with several bad cells is rejected for the first of
+    them.
     """
     labels = {"": LabelClass.ASSUMED_BENIGN}
     partitions: dict[str, Optional[PartitionTag]] = {"": None}
@@ -224,14 +257,16 @@ def _row_converter():
         reputation, port_pool, ip_pool, dns_flag, dns_pct, label, partition, port,
     ) -> FlowRecord:
         try:
-            flow_start = flow_start_ms(int(day), int(hour), int(minute), int(second), int(millisecond))
+            flow_start = flow_start_ms(
+                to_int(day), to_int(hour), to_int(minute), to_int(second), to_int(millisecond)
+            )
         except ValueError:
             flow_start = flow_start_ms(
-                _parse_int(day, "flow_start_day"),
-                _parse_int(hour, "flow_start_hour"),
-                _parse_int(minute, "flow_start_minute"),
-                _parse_int(second, "flow_start_second"),
-                _parse_int(millisecond, "flow_start_millisecond"),
+                parse_int(day, "flow_start_day"),
+                parse_int(hour, "flow_start_hour"),
+                parse_int(minute, "flow_start_minute"),
+                parse_int(second, "flow_start_second"),
+                parse_int(millisecond, "flow_start_millisecond"),
             )
 
         avg_packet_size = _parse_float(avg_size, "avg_packet_size")
@@ -249,32 +284,32 @@ def _row_converter():
 
         try:
             device_id, network_id, protocol_id, duration_ms, octet_count, packet_count, tcp = (
-                int(device), int(network), int(protocol), int(duration),
-                int(octets), int(packets), int(tcp_bits),
+                to_int(device), to_int(network), to_int(protocol), to_int(duration),
+                to_int(octets), to_int(packets), to_int(tcp_bits),
             )
-            iat_ms = int(iat) if iat else None
-            port_count = int(port_pool) if port_pool else None
-            ip_count = int(ip_pool) if ip_pool else None
+            iat_ms = to_int(iat) if iat else None
+            port_count = to_int(port_pool) if port_pool else None
+            ip_count = to_int(ip_pool) if ip_pool else None
         except ValueError:
             device_id, network_id, protocol_id, duration_ms, octet_count, packet_count, tcp = (
-                _parse_int(device, "device_id"),
-                _parse_int(network, "source_network_id"),
-                _parse_int(protocol, "protocol_identifier"),
-                _parse_int(duration, "flow_duration_milliseconds"),
-                _parse_int(octets, "octet_delta_count"),
-                _parse_int(packets, "packet_delta_count"),
-                _parse_int(tcp_bits, "tcp_control_bits"),
+                parse_int(device, "device_id"),
+                parse_int(network, "source_network_id"),
+                parse_int(protocol, "protocol_identifier"),
+                parse_int(duration, "flow_duration_milliseconds"),
+                parse_int(octets, "octet_delta_count"),
+                parse_int(packets, "packet_delta_count"),
+                parse_int(tcp_bits, "tcp_control_bits"),
             )
-            iat_ms = _parse_int(iat, "inter_arrival_time_milliseconds") if iat else None
-            port_count = _parse_int(port_pool, "same_dest_port_count_pool") if port_pool else None
-            ip_count = _parse_int(ip_pool, "same_dest_IP_count_pool") if ip_pool else None
+            iat_ms = parse_int(iat, "inter_arrival_time_milliseconds") if iat else None
+            port_count = parse_int(port_pool, "same_dest_port_count_pool") if port_pool else None
+            ip_count = parse_int(ip_pool, "same_dest_IP_count_pool") if ip_pool else None
         has_dns = booleans.get(dns_flag)
         if has_dns is None:
             has_dns = booleans[dns_flag] = _parse_bool(dns_flag, "has_DNS_request_from_pool")
         try:
-            port_number = int(port) if port else None
+            port_number = to_int(port) if port else None
         except ValueError:
-            port_number = _parse_int(port, DESTINATION_PORT_COLUMN)
+            port_number = parse_int(port, DESTINATION_PORT_COLUMN)
 
         return FlowRecord(
             device_id, network_id, flow_start, protocol_id, duration_ms, octet_count,

@@ -27,10 +27,6 @@ class ScenarioOutcome:
     tn: int
     fn: int
 
-    @property
-    def in_scope(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
 
 def confusion(
     verdicts: Sequence[Verdict], labels: Sequence[LabelClass], scenario: LabelClass

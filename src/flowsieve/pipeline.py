@@ -72,7 +72,7 @@ def _calibrate_filter2(
     val_proj = _clustering_space(
         _infrequent_rows(filter1, val_matrix), filter2.feature_space, filter1, filter2.pca_basis
     )
-    thresholds = clustering.set_cluster_thresholds(filter2, val_proj, pctl_known)
+    thresholds = clustering.set_cluster_thresholds(filter2, val_proj.values, pctl_known)
     return clustering.with_thresholds(filter2, thresholds)
 
 
@@ -109,7 +109,7 @@ def train_encoded(
     features = config.clustering_features
     pca_basis = encode.fit_pca(infrequent_train) if features is ClusteringFeatures.PCA else None
     train_proj = _clustering_space(infrequent_train, features, filter1, pca_basis)
-    filter2 = clustering.train_filter2(train_proj, config)
+    filter2 = clustering.train_filter2(train_proj.values, config)
     filter2.pca_basis = pca_basis
     filter2 = _calibrate_filter2(filter1, filter2, val_matrix, config.pctl_known)
     return TrainedPipeline(config=config, filter1=filter1, filter2=filter2)

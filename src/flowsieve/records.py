@@ -120,10 +120,6 @@ class FlowRecord:
     destination_port: Optional[int] = None
 
     @property
-    def flow_start_fields(self) -> tuple[int, int, int, int, int]:
-        return split_flow_start(self.flow_start)
-
-    @property
     def hour_index(self) -> int:
         return self.flow_start // MS_PER_HOUR
 

@@ -7,6 +7,11 @@ from flowsieve.errors import DataError, NumericError
 from flowsieve.stats import nearest_rank_percentile
 
 
+def reconstruct(model: autoencoder.Filter1Model, x: np.ndarray) -> np.ndarray:
+    """The autoencoder's output for every row of x."""
+    return autoencoder._forward(model, np.atleast_2d(x))[-1]
+
+
 def _tiny_config(**overrides) -> PipelineConfig:
     base = dict(epochs_max=200, batch_size=8, rng_seed=7)
     base.update(overrides)
@@ -65,7 +70,7 @@ def _finite_difference_gradients(model, x, h=1e-5):
     grads_b = [np.zeros_like(b) for b in model.biases]
 
     def loss():
-        reconstruction = autoencoder.reconstruct(model, x)
+        reconstruction = reconstruct(model, x)
         return float(np.mean((x - reconstruction) ** 2))
 
     for layer, w in enumerate(model.weights):
@@ -187,10 +192,10 @@ class TestFrequencyThreshold:
 
 class TestClassifyFrequent:
     def test_boundary_is_infrequent(self):
-        assert autoencoder.classify_frequent(0.5, 0.5) is False
+        assert autoencoder.classify_frequent_rows(np.array([0.5]), 0.5).tolist() == [False]
 
     def test_zero_mse_is_frequent(self):
-        assert autoencoder.classify_frequent(0.0, 0.1) is True
+        assert autoencoder.classify_frequent_rows(np.array([0.0]), 0.1).tolist() == [True]
 
     def test_row_version(self):
         flags = autoencoder.classify_frequent_rows(np.array([0.1, 0.5, 0.9]), 0.5)

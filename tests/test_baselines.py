@@ -4,11 +4,13 @@ from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowsieve import autoencoder, baselines, metrics
 from flowsieve.config import PipelineConfig
 from flowsieve.errors import DataError
-from flowsieve.stats import TAG_FOREST, seed_sequence
+from flowsieve.stats import TAG_FOREST, pairwise_dists, seed_sequence
 
 
 def brute_force_lof(train, test, k):
@@ -84,6 +86,94 @@ class TestLof:
         train[-1] = [5.0, 5.0]
         scores = baselines.score_lof(train, np.array([[0.0, 0.0], [9.0, 9.0]]), n_neighbors=3)
         assert np.isfinite(scores).all()
+
+
+def full_sort_knn(queries, train, k, exclude_self):
+    """`_knn_among_train` as it was before selection: a stable sort of every
+    whole distance row."""
+    n_queries = queries.shape[0]
+    order = np.empty((n_queries, k), dtype=int)
+    ordered_dists = np.empty((n_queries, k))
+    for start in range(0, n_queries, 1024):
+        stop = min(start + 1024, n_queries)
+        dists = pairwise_dists(queries[start:stop], train)
+        if exclude_self:
+            rows = np.arange(start, stop)
+            dists[rows - start, rows] = np.inf
+        chunk_order = np.argsort(dists, axis=1, kind="stable")[:, :k]
+        order[start:stop] = chunk_order
+        ordered_dists[start:stop] = dists[np.arange(stop - start)[:, None], chunk_order]
+    return order, ordered_dists
+
+
+@st.composite
+def tied_neighbors(draw, n):
+    """Rounded training rows with duplicates, so distances tie, also at the
+    k-th; queries drawn from the same rows plus fresh ones; k from 1 up to
+    every other training row."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.sampled_from([1, 2, 5, 25]))
+    distinct = draw(st.integers(1, n))
+    decimals = draw(st.integers(0, 1))
+    rows = np.round(rng.normal(size=(distinct, d)) * 2.0, decimals)
+    train = rows[rng.integers(0, distinct, size=n)]
+    n_queries = draw(st.sampled_from([1, 5, 1024, 1025]))
+    fresh = np.round(rng.normal(size=(n_queries, d)) * 2.0, decimals)
+    repeated = rows[rng.integers(0, distinct, size=n_queries)]
+    queries = np.where(rng.random((n_queries, 1)) < 0.5, repeated, fresh)
+    ks = {1, min(2, n - 1), min(20, n - 1)}
+    if n <= 513:
+        ks.add(n - 1)  # beyond, k = n - 1 only sorts whole rows slowly either way
+    return train, queries, draw(st.sampled_from(sorted(ks)))
+
+
+class TestNeighborSelectionOracle:
+    """Selection of the k nearest equals the first k of a stable sort, in
+    index and distance, with ties at the k-th distance broken by index;
+    training sizes cover the 1024-query chunks and the silhouette's edges."""
+
+    @pytest.mark.parametrize("n", [2, 7, 8, 9, 511, 512, 513])
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_random_tied_data(self, n, data):
+        self._assert_same_lof(*data.draw(tied_neighbors(n)))
+
+    @pytest.mark.parametrize("n", [2047, 2048, 2049])
+    @settings(max_examples=3, deadline=None)
+    @given(data=st.data())
+    def test_random_tied_data_at_the_silhouette_limit(self, n, data):
+        self._assert_same_lof(*data.draw(tied_neighbors(n)))
+
+    def _assert_same_lof(self, train, queries, k):
+        self._assert_same_neighbors(train, train, k, exclude_self=True)
+        self._assert_same_neighbors(queries, train, k, exclude_self=False)
+        self._assert_same_neighbors(queries, train, k + 1, exclude_self=False)
+        got = baselines.score_lof(train, queries, n_neighbors=k)
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(baselines, "_knn_among_train", full_sort_knn)
+            want = baselines.score_lof(train, queries, n_neighbors=k)
+        assert got.tobytes() == want.tobytes()
+
+    def test_ties_at_the_kth_distance_break_by_index(self):
+        train = _grid()  # 30 points on a unit grid
+        k = 5
+        order, dists = baselines._knn_among_train(train, train, k, exclude_self=True)
+        want_order, want_dists = full_sort_knn(train, train, k, exclude_self=True)
+        # an inner point has four neighbors at 1 and four at sqrt(2): the
+        # fifth nearest is one of four tied ones, the lowest-indexed
+        inner = 7
+        all_order, all_dists = full_sort_knn(train, train, 8, exclude_self=True)
+        assert all_dists[inner, k - 1] == all_dists[inner, k] == math.sqrt(2.0)
+        assert order[inner, k - 1] == min(all_order[inner, k - 1 :])
+        assert order.tobytes() == want_order.tobytes()
+        assert dists.tobytes() == want_dists.tobytes()
+
+    @staticmethod
+    def _assert_same_neighbors(queries, train, k, exclude_self):
+        got = baselines._knn_among_train(queries, train, k, exclude_self)
+        want = full_sort_knn(queries, train, k, exclude_self)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
 
 
 class TestIsolationForest:

@@ -148,6 +148,30 @@ class TestErrorPaths:
         bad.write_text("a,b,c\n1,2,3\n")
         assert main(["ingest", "--input", str(bad), "--outdir", str(tmp_path)]) == 2
 
+    def test_ingest_rejects_integer_beyond_float_range(self, workdir, tmp_path):
+        # the capture with the widened row ingests like the capture without it
+        def widen(header, rows):
+            rows[100][header.index("octet_delta_count")] = "9" * 401
+
+        def drop(header, rows):
+            del rows[100]
+
+        outputs = {}
+        for name, edit in (("widened", widen), ("dropped", drop)):
+            capture = tmp_path / f"{name}.csv"
+            _rewrite_csv(workdir / "synthetic.csv", capture, edit)
+            outdir = tmp_path / name
+            argv = ["ingest", "--input", str(capture), "--outdir", str(outdir)]
+            assert main(argv + ["--split", "4,1,2", "--lab-network", "5"]) == 0
+            outputs[name] = outdir
+        report = json.loads((outputs["widened"] / "cleansing_report.json").read_text())
+        assert report["rows_rejected"] == 1
+        assert report["reject_reasons"] == {"numeric octet_delta_count beyond float range": 1}
+        for name in ("training.csv", "validation.csv", "test.csv"):
+            partition = (outputs["widened"] / name).read_bytes()
+            assert partition == (outputs["dropped"] / name).read_bytes()
+            assert b"9" * 401 not in partition
+
     def _detect_with_edited_filter2(self, workdir, tmp_path, edit, artifact="filter2.json"):
         models = tmp_path / "models"
         models.mkdir()

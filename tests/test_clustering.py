@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -332,6 +333,102 @@ class TestExactness:
         assert np.array_equal(got.assignments, want.assignments)
         assert got.inertia == want.inertia
         assert got.inertia_history == want.inertia_history
+
+
+def dense_silhouette_means(x: np.ndarray, assignment_sets) -> list[float]:
+    """`silhouette_means` as it was before the symmetric distance matrix:
+    a fresh (512, n, d) difference tensor per chunk, every pair computed
+    twice."""
+    n = x.shape[0]
+    tallies = [clustering._SilhouetteTally(assignments, n) for assignments in assignment_sets]
+    for start in range(0, n, 512):
+        stop = min(start + 512, n)
+        if n <= 2048:
+            diff = x[start:stop, None, :] - x[None, :, :]
+            dists = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        else:
+            dists = pairwise_dists(x[start:stop], x)
+        for tally in tallies:
+            tally.add_chunk(start, stop, dists)
+    return [tally.mean() for tally in tallies]
+
+
+def dense_distances(x: np.ndarray) -> np.ndarray:
+    """Every row's direct-difference distances, computed the dense way."""
+    diff = x[:, None, :] - x[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+@st.composite
+def tied_clusterings(draw, n):
+    """Rounded rows with duplicates, so exact distance ties abound, and a
+    few clusterings of them; every clustering holds clusters 0 and 1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.sampled_from([1, 2, 5, 25]))
+    distinct = draw(st.integers(1, n))
+    scale = draw(st.sampled_from([0.1, 1.0, 1e3]))
+    decimals = draw(st.integers(0, 2))
+    rows = np.round(rng.normal(scale=scale, size=(distinct, d)), decimals)
+    x = rows[rng.integers(0, distinct, size=n)]
+    assignment_sets = []
+    for k in draw(st.lists(st.integers(2, 6), min_size=1, max_size=4)):
+        assignments = rng.integers(0, k, size=n)
+        assignments[:2] = (0, 1)
+        assignment_sets.append(assignments)
+    return x, assignment_sets
+
+
+def _silhouette_outcome(score, x, assignment_sets):
+    try:
+        return [value.hex() for value in score(x, assignment_sets)]
+    except (DataError, DegenerateDataError) as exc:
+        return type(exc), str(exc)
+
+
+class TestSymmetricSilhouetteOracle:
+    """The symmetric distance matrix gives bit-identical silhouettes to the
+    dense per-chunk differences, on both sides of the direct-difference
+    blocks, the 512-row chunks and the switch to the expansion at 2048."""
+
+    @pytest.mark.parametrize("n", [2, 7, 8, 9, 511, 512, 513])
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_small_and_chunk_edges(self, n, data):
+        self._assert_identical(*data.draw(tied_clusterings(n)))
+
+    @pytest.mark.parametrize("n", [2047, 2048, 2049])
+    @settings(max_examples=2, deadline=None)
+    @given(data=st.data())
+    def test_exact_limit_edges(self, n, data):
+        self._assert_identical(*data.draw(tied_clusterings(n)))
+
+    @pytest.mark.parametrize("n", [2, 7, 8, 9, 17, 513])
+    def test_distance_matrix_equals_dense_differences(self, n):
+        rng = np.random.default_rng(n)
+        x = np.round(rng.normal(size=(n, 25)), 1)
+        x[n // 2] = x[0]
+        assert clustering._direct_distances(x).tobytes() == dense_distances(x).tobytes()
+
+    @staticmethod
+    def _assert_identical(x, assignment_sets):
+        got = _silhouette_outcome(clustering.silhouette_means, x, assignment_sets)
+        want = _silhouette_outcome(dense_silhouette_means, x, assignment_sets)
+        assert got == want
+
+    def test_peak_memory_at_the_exact_limit(self):
+        # one (n, n) matrix of 32 MiB plus small blocks; with a fresh
+        # (512, n, 25) tensor per chunk the peak was about 400 MiB
+        rng = np.random.default_rng(0)
+        n = clustering._SILHOUETTE_EXACT_N
+        x = rng.normal(size=(n, 25))
+        assignment_sets = [rng.integers(0, k, size=n) for k in (2, 3, 4, 5)]
+        tracemalloc.start()
+        try:
+            clustering.silhouette_means(x, assignment_sets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestClusterThresholds:

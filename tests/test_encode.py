@@ -15,6 +15,12 @@ from flowsieve.errors import ConfigError, DataError
 from conftest import make_record
 
 
+def pca_reconstruct(basis: encode.PcaBasis, projected: np.ndarray) -> np.ndarray:
+    """Rows back in the input space from their first projected components."""
+    k = projected.shape[1]
+    return projected @ basis.components[:k] + basis.mean
+
+
 def _config(**overrides) -> PipelineConfig:
     return PipelineConfig(**overrides)
 
@@ -185,7 +191,7 @@ class TestFitPca:
         data = rng.normal(size=(50, 5))
         basis = encode.fit_pca(data)
         projected = encode.pca_project(basis, data, n_components=5)
-        restored = encode.pca_reconstruct(basis, projected)
+        restored = pca_reconstruct(basis, projected)
         centered = data - basis.mean
         scale = np.abs(centered).max()
         assert np.max(np.abs(restored - data)) / scale < 1e-8

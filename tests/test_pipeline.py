@@ -186,5 +186,7 @@ class TestRecalibrate:
         aux = trained.filter2.pca_basis if features is ClusteringFeatures.PCA else trained.filter1
         projected = encode.project_features(infrequent, features, aux=aux)
         assert projected.dimension == trained.filter2.dimension
-        expected = clustering.set_cluster_thresholds(trained.filter2, projected, config.pctl_known)
+        expected = clustering.set_cluster_thresholds(
+            trained.filter2, projected.values, config.pctl_known
+        )
         assert recal.filter2.per_cluster_thresholds == expected
