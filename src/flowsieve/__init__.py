@@ -13,7 +13,7 @@ from .config import (
     NumericTreatment,
     PipelineConfig,
 )
-from .records import FinalLabel, FlowRecord, LabelClass, PartitionTag, Verdict, validate_record
+from .records import FinalLabel, FlowRecord, LabelClass, PartitionTag, validate_record
 
 __version__ = "0.1.0"
 
@@ -27,7 +27,6 @@ __all__ = [
     "NumericTreatment",
     "PartitionTag",
     "PipelineConfig",
-    "Verdict",
     "validate_record",
     "__version__",
 ]

@@ -18,6 +18,8 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import ingest, pipeline
 from .autoencoder import Filter1Model
 from .clustering import Filter2Model
@@ -25,7 +27,7 @@ from .config import PipelineConfig, load_config_file
 from .errors import ConfigError, DataError, FlowSieveError, NumericError, SchemaError
 from .experiments import run_benchmark, run_grid, sensitivity_sweep
 from .metrics import ScenarioOutcome, build_eval_report, pr_curve, scenario_metrics, verdict_scores
-from .records import ATTACK_CLASSES, FlowRecord, LabelClass, Verdict
+from .records import ATTACK_CLASSES, FinalLabel, FlowRecord, LabelClass, verdict_table
 from .synth import SynthConfig, generate
 
 DEFAULT_SEED = 42
@@ -33,11 +35,13 @@ DEFAULT_SEED = 42
 TRAINING_CSV = "training.csv"
 VALIDATION_CSV = "validation.csv"
 TEST_CSV = "test.csv"
+PARTITION_CSVS = (TRAINING_CSV, VALIDATION_CSV, TEST_CSV)
 CLEANSING_REPORT = "cleansing_report.json"
 FILTER1_FILE = "filter1.json"
 FILTER2_FILE = "filter2.json"
 
-# Columns ingest fills and detect needs on every row, with their record fields.
+# Columns ingest fills and every partition reader needs on every row, with
+# their record fields.
 _ENRICHED_COLUMNS = {
     "inter_arrival_time_milliseconds": "inter_arrival_time_milliseconds",
     "same_dest_port_count_pool": "same_dest_port_count_pool",
@@ -115,15 +119,29 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help=f"RNG seed (default {DEFAULT_SEED})")
 
 
-def _load_partitions(data_dir: Path) -> tuple[list[FlowRecord], list[FlowRecord], list[FlowRecord]]:
-    parts = []
-    for name in (TRAINING_CSV, VALIDATION_CSV, TEST_CSV):
-        path = data_dir / name
-        if not path.exists():
-            raise DataError(f"missing partition file: {path}")
-        records, _ = ingest.parse_dataset(path)
-        parts.append(records)
-    return parts[0], parts[1], parts[2]
+def _read_partition(path: Path) -> list[FlowRecord]:
+    """The records of a file ingest wrote.
+
+    A row that does not parse is a data error, and so is a row that lacks
+    a value ingest fills in: ingest computes the inter-arrival time and
+    the pool counters (or drops the row), and the recipe would silently
+    encode an absent one as 0, so the model would see data prepared
+    differently from its training data.
+    """
+    if not path.exists():
+        raise DataError(f"missing partition file: {path}")
+    records, report = ingest.parse_dataset(path)
+    if report.rows_rejected:
+        reasons = ", ".join(f"{reason} ({count})" for reason, count in sorted(report.reject_reasons.items()))
+        raise DataError(f"{path}: {report.rows_rejected} of {report.rows_read} rows rejected: {reasons}")
+    missing = {
+        column: sum(1 for record in records if getattr(record, attribute) is None)
+        for column, attribute in _ENRICHED_COLUMNS.items()
+    }
+    lacking = [f"{column} in {count} rows" for column, count in missing.items() if count]
+    if lacking:
+        raise DataError(f"{path} ({len(records)} rows) lacks {', '.join(lacking)}; run ingest on it first")
+    return records
 
 
 def _csv_text(rows: list[list[str]]) -> str:
@@ -162,7 +180,7 @@ def _cmd_ingest(args) -> int:
     split = tuple(int(v) for v in args.split.split(","))
     if len(split) != 3:
         raise UsageError("--split expects three comma-separated day counts")
-    records, parse_report = ingest.parse_dataset(Path(args.input), float_range=True)
+    records, parse_report = ingest.parse_dataset(Path(args.input))
     if not records:
         raise DataError("no parseable rows in input")
     # A capture lacks the first inter-arrival time of every device, so this
@@ -221,7 +239,8 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _build_config(args)
-    training, validation, _ = _load_partitions(Path(args.data))
+    data = Path(args.data)
+    training, validation = (_read_partition(data / name) for name in (TRAINING_CSV, VALIDATION_CSV))
     trained = pipeline.train_pipeline(training, validation, config)
     _write_models(Path(args.outdir), trained)
     print(
@@ -251,19 +270,13 @@ def _pipeline_from_models(config: PipelineConfig, filter1: Filter1Model, filter2
         raise SchemaError("frequency-filter artifact lacks its encoding recipe")
     if filter1.th_frequent is None:
         raise DataError("frequency filter is not calibrated (missing threshold)")
-    config = config.replace(
-        ip_treatment=filter1.recipe.ip_treatment,
-        numeric_treatment=filter1.recipe.numeric_treatment,
-        clustering_features=filter2.feature_space,
-        distance_mode=filter2.distance_mode,
-    )
     return pipeline.TrainedPipeline(config=config, filter1=filter1, filter2=filter2)
 
 
 def _cmd_calibrate(args) -> int:
     config = _build_config(args)
     filter1, filter2 = _load_models(Path(args.models))
-    _, validation, _ = _load_partitions(Path(args.data))
+    validation = _read_partition(Path(args.data) / VALIDATION_CSV)
     trained = _pipeline_from_models(config, filter1, filter2)
     recalibrated = pipeline.recalibrate(trained, validation)
     _write_models(Path(args.models), recalibrated)
@@ -298,54 +311,36 @@ VERDICT_HEADER = [
 ]
 
 
-def _require_enriched(records: list[FlowRecord]) -> None:
-    """Refuse detect input that lacks a value ingest fills in.
-
-    Ingest computes the inter-arrival time and the pool counters (or drops
-    the row); the recipe would silently encode an absent one as 0, so the
-    model would see data prepared differently from its training data.
-    """
-    missing = {
-        column: sum(1 for record in records if getattr(record, attribute) is None)
-        for column, attribute in _ENRICHED_COLUMNS.items()
-    }
-    lacking = [f"{column} in {count} rows" for column, count in missing.items() if count]
-    if lacking:
-        raise DataError(
-            f"detect input of {len(records)} rows lacks {', '.join(lacking)}; run ingest on it first"
-        )
-
-
 def _cmd_detect(args) -> int:
     config = _detect_config(args, _build_config(args))
     filter1, filter2 = _load_models(Path(args.models))
     trained = _pipeline_from_models(config, filter1, filter2)
-    records, _ = ingest.parse_dataset(Path(args.input))
+    records = _read_partition(Path(args.input))
     if not records:
         raise DataError("no parseable rows in input")
-    _require_enriched(records)
-    verdicts = pipeline.classify_flows(trained, records)
-    rows = [VERDICT_HEADER]
-    for record, verdict in zip(records, verdicts):
-        rows.append(
-            [
-                str(verdict.flow_index),
-                str(record.device_id),
-                str(record.flow_start),
-                repr(verdict.mse),
-                "true" if verdict.frequent else "false",
-                "" if verdict.assigned_cluster is None else str(verdict.assigned_cluster),
-                "" if verdict.distance is None else repr(verdict.distance),
-                "" if verdict.tanh_score is None else repr(verdict.tanh_score),
-                verdict.final_label.value,
-                record.actual_label.value,
-            ]
-        )
+    table = pipeline.classify_flows(trained, records)
+    frequent = table.frequent.tolist()
+
+    def cluster_cells(values) -> list[str]:
+        return ["" if blank else cell for blank, cell in zip(frequent, values)]
+
+    label = {True: FinalLabel.MALICIOUS.value, False: FinalLabel.BENIGN.value}
+    columns = [
+        map(str, range(len(records))),
+        [str(record.device_id) for record in records],
+        [str(record.flow_start) for record in records],
+        map(repr, table.mse.tolist()),
+        ["true" if cell else "false" for cell in frequent],
+        cluster_cells(map(str, table.assigned_cluster.tolist())),
+        cluster_cells(map(repr, table.distance.tolist())),
+        cluster_cells(map(repr, table.tanh_score.tolist())),
+        [label[cell] for cell in table.malicious.tolist()],
+        [record.actual_label.value for record in records],
+    ]
     with _StagedWriter() as writer:
-        writer.write_text(Path(args.out), _csv_text(rows))
+        writer.write_text(Path(args.out), _csv_text([VERDICT_HEADER, *zip(*columns)]))
         writer.commit()
-    malicious = sum(1 for v in verdicts if v.final_label.value == "malicious")
-    print(f"classified {len(verdicts)} flows, {malicious} malicious")
+    print(f"classified {len(table)} flows, {int(table.malicious.sum())} malicious")
     return 0
 
 
@@ -381,41 +376,67 @@ def _non_negative_float(text: str) -> float:
     return value
 
 
+def _cluster_index(text: str) -> int:
+    value = int(text)
+    if not 0 <= value <= np.iinfo(np.int64).max:
+        raise ValueError(text)
+    return value
+
+
+def _not_nan_float(text: str) -> float:
+    value = float(text)
+    if value != value:
+        raise ValueError(text)
+    return value
+
+
 def _read_verdict_csv(path: Path):
-    """Verdicts and actual labels of a file detect wrote; a missing column
-    or a cell that does not parse is a data error naming it."""
-    verdicts, labels = [], []
+    """The verdict table and actual labels of a file detect wrote; a
+    missing column or a cell that does not parse is a data error naming
+    its line and column. Cluster cells of frequent rows are not read."""
     with open(path, "r", encoding="utf-8", newline="") as stream:
-        reader = csv.DictReader(stream)
-        missing = [column for column in VERDICT_HEADER if column not in (reader.fieldnames or ())]
+        reader = csv.reader(stream)
+        header = next(reader, [])
+        position = {column: i for i, column in enumerate(header)}
+        missing = [column for column in VERDICT_HEADER if column not in position]
         if missing:
             raise DataError(f"verdict file {path} lacks column(s) {', '.join(missing)}")
+        rows, lines = [], []
+        for row in reader:
+            if row:
+                rows.append(row + [""] * (len(header) - len(row)))
+                lines.append(reader.line_num)
 
-        def cell(row: dict, column: str, parse=float):
+    def column(name: str, parse, where=range(len(rows))) -> list:
+        at = position[name]
+        values = []
+        for i in where:
             try:
-                return parse(row[column] or "")
+                values.append(parse(rows[i][at]))
             except ValueError:
                 raise DataError(
-                    f"verdict file {path} line {reader.line_num}: invalid {column} {row[column]!r}"
+                    f"verdict file {path} line {lines[i]}: invalid {name} {rows[i][at]!r}"
                 ) from None
+        return values
 
-        for i, row in enumerate(reader):
-            labels.append(cell(row, "actual_label", LabelClass.parse))
-            mse = cell(row, "mse", _non_negative_float)
-            if row["frequent"] == "true":
-                verdicts.append(Verdict.for_frequent(i, mse))
-            else:
-                verdicts.append(
-                    Verdict.for_infrequent(
-                        i,
-                        mse,
-                        cell(row, "assigned_cluster", int),
-                        cell(row, "distance"),
-                        cell(row, "tanh_score"),
-                        row["final_label"] == "benign",
-                    )
-                )
-    return verdicts, labels
+    def cluster_column(name: str, parse, absent) -> np.ndarray:
+        values = np.full(len(rows), absent)
+        values[infrequent] = column(name, parse, infrequent)
+        return values
+
+    labels = column("actual_label", LabelClass.parse)
+    mse = column("mse", _non_negative_float)
+    frequent = np.array([row[position["frequent"]] == "true" for row in rows], dtype=bool)
+    infrequent = np.flatnonzero(~frequent)
+    table = verdict_table(
+        mse,
+        frequent,
+        cluster_column("assigned_cluster", _cluster_index, -1),
+        cluster_column("distance", _not_nan_float, np.nan),
+        cluster_column("tanh_score", _not_nan_float, np.nan),
+        ~frequent & np.array([row[position["final_label"]] != "benign" for row in rows], dtype=bool),
+    )
+    return table, labels
 
 
 def _cmd_eval(args) -> int:
@@ -445,9 +466,9 @@ def _cmd_eval(args) -> int:
     if not args.out:
         raise UsageError("eval --verdicts needs --out for the report")
 
-    verdicts, labels = _read_verdict_csv(Path(args.verdicts))
+    table, labels = _read_verdict_csv(Path(args.verdicts))
     report = build_eval_report(
-        verdicts,
+        table,
         labels,
         config_snapshot=config.to_dict(),
         thresholds={"source": "verdict csv"},
@@ -455,7 +476,7 @@ def _cmd_eval(args) -> int:
     with _StagedWriter() as writer:
         writer.write_text(Path(args.out), report.to_json())
         if args.pr_curve:
-            scores = verdict_scores(verdicts)
+            scores = verdict_scores(table)
             rows = [["scenario", "threshold", "precision", "recall"]]
             for scenario in ATTACK_CLASSES:
                 if not any(label is scenario for label in labels):
@@ -470,7 +491,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_bench(args) -> int:
     config = _build_config(args)
-    training, validation, test = _load_partitions(Path(args.data))
+    training, validation, test = (_read_partition(Path(args.data) / name) for name in PARTITION_CSVS)
     report = run_benchmark(training, validation, test, config)
     with _StagedWriter() as writer:
         writer.write_text(Path(args.out), report.to_json())
@@ -482,7 +503,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_grid(args) -> int:
     config = _build_config(args)
-    training, validation, test = _load_partitions(Path(args.data))
+    training, validation, test = (_read_partition(Path(args.data) / name) for name in PARTITION_CSVS)
     results = run_grid(training, validation, test, config)
     payload = {
         "schema_version": 1,
@@ -500,7 +521,7 @@ def _cmd_grid(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _build_config(args)
-    training, validation, test = _load_partitions(Path(args.data))
+    training, validation, test = (_read_partition(Path(args.data) / name) for name in PARTITION_CSVS)
     sizes = [int(v) for v in args.sizes.split(",") if v.strip()]
     if not sizes:
         raise UsageError("--sizes expects a comma-separated list of integers")

@@ -473,34 +473,28 @@ def with_thresholds(model: Filter2Model, thresholds: list[float]) -> Filter2Mode
     return replace(model, per_cluster_thresholds=list(thresholds))
 
 
-@dataclass(frozen=True)
-class ClusterScore:
-    assigned_cluster: int
-    distance: float
-    tanh_score: float
-    known: bool
-
-
 def score_and_classify(
     vectors: np.ndarray, model: Filter2Model, tau: Optional[float]
-) -> list[ClusterScore]:
+) -> np.recarray:
     """Assign flows to their nearest cluster and decide known vs unknown.
 
-    A flow is known when tanh(distance) < tau or, with tau None, when its
-    distance is below its cluster's threshold. Both comparisons are
-    strict: a flow exactly at the threshold is unknown.
+    Returns the cluster fields of the verdict table (`assigned_cluster`,
+    `distance`, `tanh_score`, `malicious`), one row per flow. A flow is
+    known, and not malicious, when tanh(distance) < tau or, with tau None,
+    when its distance is below its cluster's threshold. Both comparisons
+    are strict: a flow exactly at the threshold is unknown.
     """
     x = np.atleast_2d(np.asarray(vectors, dtype=float))
     assignments, distances = assign_and_distance(model, x)
     tanh_scores = np.tanh(distances)
     if tau is not None:
-        known_flags = tanh_scores < tau
+        known = tanh_scores < tau
     elif model.per_cluster_thresholds is None:
         raise DataError("per-cluster classification requires calibrated thresholds")
     else:
         th = np.asarray(model.per_cluster_thresholds, dtype=float)
-        known_flags = distances < th[assignments]
-    return [
-        ClusterScore(int(a), float(d), float(t), bool(k))
-        for a, d, t, k in zip(assignments, distances, tanh_scores, known_flags)
-    ]
+        known = distances < th[assignments]
+    return np.rec.fromarrays(
+        [assignments, distances, tanh_scores, ~known],
+        names="assigned_cluster,distance,tanh_score,malicious",
+    )

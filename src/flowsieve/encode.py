@@ -129,11 +129,10 @@ class EncodingRecipe:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Encoded rows plus the metadata needed to trace them back."""
+    """Encoded rows and the names of their columns."""
 
     values: np.ndarray  # (n, d) float64
     columns: tuple[str, ...]
-    row_indices: np.ndarray  # index of each row in the originating flow list
 
     @property
     def n_rows(self) -> int:
@@ -144,14 +143,7 @@ class FeatureMatrix:
         return int(self.values.shape[1])
 
     def take(self, mask_or_indices) -> "FeatureMatrix":
-        idx = np.asarray(mask_or_indices)
-        if idx.dtype == bool:
-            idx = np.flatnonzero(idx)
-        return FeatureMatrix(
-            values=self.values[idx],
-            columns=self.columns,
-            row_indices=self.row_indices[idx],
-        )
+        return FeatureMatrix(values=self.values[np.asarray(mask_or_indices)], columns=self.columns)
 
 
 def _active_features(ip_treatment: IpTreatment):
@@ -239,11 +231,7 @@ def apply_recipe(flows: list[FlowRecord], recipe: EncodingRecipe) -> FeatureMatr
             getter = _BINARY_GETTERS[name]
             values[:, position] = [getter(flow) for flow in flows]
             position += 1
-    return FeatureMatrix(
-        values=values,
-        columns=recipe.columns,
-        row_indices=np.arange(n),
-    )
+    return FeatureMatrix(values=values, columns=recipe.columns)
 
 
 @dataclass(frozen=True)
@@ -339,11 +327,7 @@ def project_features(
                 raise ConfigError(
                     f"manual clustering subset needs column {name!r}, absent from the recipe"
                 ) from None
-        return FeatureMatrix(
-            values=matrix.values[:, positions],
-            columns=MANUAL_SUBSET_COLUMNS,
-            row_indices=matrix.row_indices,
-        )
+        return FeatureMatrix(values=matrix.values[:, positions], columns=MANUAL_SUBSET_COLUMNS)
     if mode is ClusteringFeatures.PCA:
         if not isinstance(aux, PcaBasis):
             raise ConfigError("PCA projection requires a fitted PcaBasis")
@@ -351,7 +335,6 @@ def project_features(
         return FeatureMatrix(
             values=projected,
             columns=tuple(f"pca_{i}" for i in range(projected.shape[1])),
-            row_indices=matrix.row_indices,
         )
     if mode is ClusteringFeatures.AE_BOTTLENECK:
         from .autoencoder import bottleneck_activations  # local import, avoids a cycle
@@ -362,6 +345,5 @@ def project_features(
         return FeatureMatrix(
             values=activations,
             columns=tuple(f"bottleneck_{i}" for i in range(activations.shape[1])),
-            row_indices=matrix.row_indices,
         )
     raise ConfigError(f"unknown clustering feature mode: {mode!r}")

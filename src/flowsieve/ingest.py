@@ -164,20 +164,18 @@ def _parse_partition(cell: str) -> PartitionTag:
         raise ValueError("unknown partition") from None
 
 
-def parse_dataset(
-    source: Union[str, Path, bytes, IO], float_range: bool = False
-) -> tuple[list[FlowRecord], ParseReport]:
+def parse_dataset(source: Union[str, Path, bytes, IO]) -> tuple[list[FlowRecord], ParseReport]:
     """Parse a flow CSV into records plus a parse report.
 
     Every well-formed row becomes a FlowRecord; malformed rows are counted
-    with a reason. A missing mandatory column or an empty stream raises
-    SchemaError. With `float_range`, an integer cell beyond float range is
-    malformed too (`numeric <column> beyond float range`); ingest sets it,
-    so every partition it writes can be encoded.
+    with a reason. An integer cell beyond float range is malformed too
+    (`numeric <column> beyond float range`), so every row that parses can
+    be encoded. A missing mandatory column or an empty stream raises
+    SchemaError.
     """
     stream = _open_source(source)
     try:
-        return _parse_stream(stream, float_range)
+        return _parse_stream(stream)
     finally:
         if isinstance(source, (str, Path)):
             stream.close()
@@ -187,7 +185,7 @@ def parse_dataset(
 _PARSED_COLUMNS = CANONICAL_COLUMNS + (DESTINATION_PORT_COLUMN,)
 
 
-def _parse_stream(stream: IO[str], float_range: bool) -> tuple[list[FlowRecord], ParseReport]:
+def _parse_stream(stream: IO[str]) -> tuple[list[FlowRecord], ParseReport]:
     reader = csv.reader(stream)
     try:
         header = next(reader)
@@ -209,11 +207,7 @@ def _parse_stream(stream: IO[str], float_range: bool) -> tuple[list[FlowRecord],
     row_to_record = _row_converter(int, _parse_int)
     # Only a row longer than _FLOAT_SAFE_CHARS can hold an integer beyond
     # float range, so only such rows pay for the check.
-    long_row_to_record = (
-        _row_converter(_parse_int_in_float_range, _parse_int_in_float_range)
-        if float_range
-        else row_to_record
-    )
+    long_row_to_record = _row_converter(_parse_int_in_float_range, _parse_int_in_float_range)
 
     records: list[FlowRecord] = []
     report = ParseReport()

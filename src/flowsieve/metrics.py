@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DataError
-from .records import ATTACK_CLASSES, FinalLabel, LabelClass, Verdict
+from .records import ATTACK_CLASSES, LabelClass
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -28,10 +28,19 @@ class ScenarioOutcome:
     fn: int
 
 
+def _label_masks(
+    labels: Sequence[LabelClass], scenario: LabelClass
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flags of the scenario's attack flows and of the assumed-benign flows."""
+    positive = np.array([label is scenario for label in labels], dtype=bool)
+    negative = np.array([label is LabelClass.ASSUMED_BENIGN for label in labels], dtype=bool)
+    return positive, negative
+
+
 def confusion(
-    verdicts: Sequence[Verdict], labels: Sequence[LabelClass], scenario: LabelClass
+    verdicts: np.recarray, labels: Sequence[LabelClass], scenario: LabelClass
 ) -> ScenarioOutcome:
-    """Confusion counts for one attack scenario.
+    """Confusion counts for one attack scenario over a verdict table.
 
     Positives are the flows of the scenario's attack class, negatives the
     assumed-benign flows; flows of other attack classes stay out of scope.
@@ -42,20 +51,15 @@ def confusion(
         raise DataError(
             f"verdict/label count mismatch: {len(verdicts)} vs {len(labels)}"
         )
-    tp = fp = tn = fn = 0
-    for verdict, label in zip(verdicts, labels):
-        malicious = verdict.final_label is FinalLabel.MALICIOUS
-        if label is scenario:
-            if malicious:
-                tp += 1
-            else:
-                fn += 1
-        elif label is LabelClass.ASSUMED_BENIGN:
-            if malicious:
-                fp += 1
-            else:
-                tn += 1
-    return ScenarioOutcome(scenario, tp=tp, fp=fp, tn=tn, fn=fn)
+    malicious = verdicts.malicious
+    positive, negative = _label_masks(labels, scenario)
+    return ScenarioOutcome(
+        scenario,
+        tp=int(np.count_nonzero(positive & malicious)),
+        fp=int(np.count_nonzero(negative & malicious)),
+        tn=int(np.count_nonzero(negative & ~malicious)),
+        fn=int(np.count_nonzero(positive & ~malicious)),
+    )
 
 
 @dataclass(frozen=True)
@@ -123,15 +127,12 @@ def _scenario_rows(
     """Scores and positive flags of the scenario's attack flows and the
     benign flows; flows of other attack classes are left out."""
     scores = np.asarray(scores, dtype=float)
-    labels = list(labels)
     if scores.shape[0] != len(labels):
         raise DataError("score/label count mismatch")
-    mask = np.array(
-        [label is scenario or label is LabelClass.ASSUMED_BENIGN for label in labels], dtype=bool
-    )
-    positives = np.array([label is scenario for label in labels], dtype=bool)
+    positives, benign = _label_masks(labels, scenario)
     if not positives.any():
         raise DataError(f"no flows labeled {scenario.value!r}")
+    mask = positives | benign
     return scores[mask], positives[mask]
 
 
@@ -160,12 +161,10 @@ def macro_average(values: Sequence[Optional[float]]) -> Optional[float]:
     return float(sum(values) / len(values))
 
 
-def verdict_scores(verdicts: Sequence[Verdict]) -> np.ndarray:
-    """Anomaly score per flow: frequent flows score zero, infrequent flows
-    their tanh cluster distance."""
-    return np.array(
-        [0.0 if v.frequent else float(v.tanh_score) for v in verdicts], dtype=float
-    )
+def verdict_scores(verdicts: np.recarray) -> np.ndarray:
+    """Anomaly score per flow of a verdict table: frequent flows score
+    zero, infrequent flows their tanh cluster distance."""
+    return np.where(verdicts.frequent, 0.0, verdicts.tanh_score)
 
 
 @dataclass
@@ -215,7 +214,7 @@ class EvalReport:
 
 
 def build_eval_report(
-    verdicts: Sequence[Verdict],
+    verdicts: np.recarray,
     labels: Sequence[LabelClass],
     config_snapshot: dict,
     thresholds: dict,

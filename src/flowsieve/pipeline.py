@@ -19,7 +19,7 @@ from .config import ClusteringFeatures, PipelineConfig
 from .encode import EncodingRecipe, FeatureMatrix, PcaBasis
 from .errors import DataError
 from .metrics import EvalReport, build_eval_report
-from .records import FlowRecord, Verdict
+from .records import FlowRecord, verdict_table
 
 
 @dataclass
@@ -127,13 +127,17 @@ def recalibrate(pipeline: TrainedPipeline, validation_flows: Sequence[FlowRecord
     return TrainedPipeline(config, filter1, filter2)
 
 
-def classify_matrix(pipeline: TrainedPipeline, matrix: FeatureMatrix) -> list[Verdict]:
-    """One verdict per row, in row order."""
+def classify_matrix(pipeline: TrainedPipeline, matrix: FeatureMatrix) -> np.recarray:
+    """The verdict table of the rows (see `records.verdict_table`), in row order."""
     mses = autoencoder.compute_mse(pipeline.filter1, matrix)
     frequent = autoencoder.classify_frequent_rows(mses, pipeline.th_frequent)
-    verdicts: list[Optional[Verdict]] = [None] * matrix.n_rows
-    for row in np.flatnonzero(frequent):
-        verdicts[row] = Verdict.for_frequent(int(matrix.row_indices[row]), float(mses[row]))
+    n = matrix.n_rows
+    cluster_fields = {
+        "assigned_cluster": np.full(n, -1),
+        "distance": np.full(n, np.nan),
+        "tanh_score": np.full(n, np.nan),
+        "malicious": np.zeros(n, dtype=bool),
+    }
     infrequent_rows = np.flatnonzero(~frequent)
     if infrequent_rows.size:
         filter2 = pipeline.filter2
@@ -143,27 +147,19 @@ def classify_matrix(pipeline: TrainedPipeline, matrix: FeatureMatrix) -> list[Ve
         scores = clustering.score_and_classify(
             projected.values, filter2, pipeline.config.global_tanh_threshold
         )
-        for row, score in zip(infrequent_rows, scores):
-            verdicts[row] = Verdict.for_infrequent(
-                int(matrix.row_indices[row]),
-                float(mses[row]),
-                score.assigned_cluster,
-                score.distance,
-                score.tanh_score,
-                score.known,
-            )
-    assert all(v is not None for v in verdicts)
-    return verdicts  # type: ignore[return-value]
+        for name, column in cluster_fields.items():
+            column[infrequent_rows] = scores[name]
+    return verdict_table(mses, frequent, **cluster_fields)
 
 
-def classify_flows(pipeline: TrainedPipeline, flows: Sequence[FlowRecord]) -> list[Verdict]:
+def classify_flows(pipeline: TrainedPipeline, flows: Sequence[FlowRecord]) -> np.recarray:
     matrix = encode.apply_recipe(list(flows), pipeline.recipe)
     return classify_matrix(pipeline, matrix)
 
 
 def evaluate_pipeline(
     pipeline: TrainedPipeline, test_flows: Sequence[FlowRecord]
-) -> tuple[EvalReport, list[Verdict]]:
+) -> tuple[EvalReport, np.recarray]:
     """Classify the test flows and build the evaluation report."""
     tau = pipeline.config.global_tanh_threshold
     verdicts = classify_flows(pipeline, test_flows)

@@ -12,6 +12,8 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Optional
 
+import numpy as np
+
 MS_PER_SECOND = 1_000
 MS_PER_MINUTE = 60_000
 MS_PER_HOUR = 3_600_000
@@ -188,52 +190,41 @@ def validate_record(record: FlowRecord) -> list[str]:
     return violations
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Pipeline decision for one flow.
+# One row per flow: the verdict table classify returns and eval reads.
+VERDICT_DTYPE = np.dtype(
+    [
+        ("mse", np.float64),
+        ("frequent", np.bool_),
+        ("assigned_cluster", np.int64),
+        ("distance", np.float64),
+        ("tanh_score", np.float64),
+        ("malicious", np.bool_),
+    ]
+)
 
-    Constructible only in one of two shapes: a frequent flow (no cluster
-    fields, final label benign) or an infrequent flow (all cluster fields
-    present, final label decided by the known flag).
+
+def verdict_table(mse, frequent, assigned_cluster, distance, tanh_score, malicious) -> np.recarray:
+    """Pipeline decisions as a record array, one row per flow in flow order.
+
+    Every row has a non-negative mse. A frequent row carries no cluster
+    fields (assigned_cluster -1, NaN distance and tanh_score) and is
+    benign; an infrequent row carries all of them. Any other shape raises
+    ValueError.
     """
-
-    flow_index: int
-    mse: float
-    frequent: bool
-    assigned_cluster: Optional[int]
-    distance: Optional[float]
-    tanh_score: Optional[float]
-    known: Optional[bool]
-    final_label: FinalLabel
-
-    def __post_init__(self) -> None:
-        if self.mse < 0:
-            raise ValueError("mse must be non-negative")
-        cluster_fields = (self.assigned_cluster, self.distance, self.tanh_score, self.known)
-        if self.frequent:
-            if any(field is not None for field in cluster_fields):
-                raise ValueError("frequent verdicts carry no cluster fields")
-            if self.final_label is not FinalLabel.BENIGN:
-                raise ValueError("frequent verdicts are benign")
-        else:
-            if any(field is None for field in cluster_fields):
-                raise ValueError("infrequent verdicts carry all cluster fields")
-            if (self.final_label is FinalLabel.MALICIOUS) != (self.known is False):
-                raise ValueError("final label malicious iff not known")
-
-    @classmethod
-    def for_frequent(cls, flow_index: int, mse: float) -> "Verdict":
-        return cls(flow_index, mse, True, None, None, None, None, FinalLabel.BENIGN)
-
-    @classmethod
-    def for_infrequent(
-        cls,
-        flow_index: int,
-        mse: float,
-        assigned_cluster: int,
-        distance: float,
-        tanh_score: float,
-        known: bool,
-    ) -> "Verdict":
-        final = FinalLabel.BENIGN if known else FinalLabel.MALICIOUS
-        return cls(flow_index, mse, False, assigned_cluster, distance, tanh_score, known, final)
+    table = np.rec.fromarrays(
+        [mse, frequent, assigned_cluster, distance, tanh_score, malicious], dtype=VERDICT_DTYPE
+    )
+    if (table.mse < 0).any():
+        raise ValueError("mse must be non-negative")
+    frequent = table.frequent
+    nan_distance, nan_tanh = np.isnan(table.distance), np.isnan(table.tanh_score)
+    empty = (table.assigned_cluster == -1) & nan_distance & nan_tanh
+    full = (table.assigned_cluster >= 0) & ~nan_distance & ~nan_tanh
+    if not empty[frequent].all():
+        raise ValueError("frequent verdicts carry no cluster fields")
+    if table.malicious[frequent].any():
+        raise ValueError("frequent verdicts are benign")
+    if not full[~frequent].all():
+        raise ValueError("infrequent verdicts carry all cluster fields")
+    table.flags.writeable = False
+    return table

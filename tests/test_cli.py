@@ -3,7 +3,13 @@ import json
 
 import pytest
 
+from flowsieve import ingest, pipeline
+from flowsieve.autoencoder import Filter1Model
 from flowsieve.cli import main
+from flowsieve.clustering import Filter2Model
+from flowsieve.config import PipelineConfig
+from flowsieve.metrics import build_eval_report, pr_curve, verdict_scores
+from flowsieve.records import ATTACK_CLASSES
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +107,35 @@ class TestPipelineComposability:
             assert row["assigned_cluster"] == ""
             assert row["distance"] == ""
             assert row["final_label"] == "benign"
+
+    def test_eval_of_detect_output_matches_the_in_memory_table(self, workdir, tmp_path):
+        models, test_csv = workdir / "models", workdir / "data" / "test.csv"
+        verdicts_csv, report_json, pr_csv = (tmp_path / n for n in ("v.csv", "report.json", "pr.csv"))
+        assert main(["detect", "--models", str(models), "--input", str(test_csv), "--out", str(verdicts_csv)]) == 0
+        argv = ["eval", "--verdicts", str(verdicts_csv), "--out", str(report_json), "--pr-curve", str(pr_csv)]
+        assert main(argv) == 0
+
+        trained = pipeline.TrainedPipeline(
+            PipelineConfig(global_tanh_threshold=0.75),
+            Filter1Model.load(models / "filter1.json"),
+            Filter2Model.load(models / "filter2.json"),
+        )
+        records, _ = ingest.parse_dataset(test_csv)
+        table = pipeline.classify_flows(trained, records)
+        labels = [record.actual_label for record in records]
+        expected = build_eval_report(table, labels, config_snapshot={}, thresholds={}).to_dict()
+        report = json.loads(report_json.read_text())
+        assert report["scenarios"] == expected["scenarios"]
+        assert report["macro"] == expected["macro"]
+        scores = verdict_scores(table)
+        expected_rows = [
+            [scenario.value, repr(threshold), repr(precision), repr(recall)]
+            for scenario in ATTACK_CLASSES
+            if scenario in labels
+            for threshold, precision, recall in pr_curve(scores, labels, scenario)
+        ]
+        with open(pr_csv, newline="") as stream:
+            assert list(csv.reader(stream))[1:] == expected_rows
 
     def test_detect_per_cluster_mode(self, workdir):
         out = workdir / "verdicts_pc.csv"
@@ -337,7 +372,7 @@ class TestErrorPaths:
         out = tmp_path / "verdicts.csv"
         assert self._detect(workdir, out, input_csv=edited) == 2
         assert not out.exists()
-        assert "'octet_delta_count' holds an integer beyond float range" in capsys.readouterr().err
+        assert "rows rejected: numeric octet_delta_count beyond float range (1)" in capsys.readouterr().err
 
         data = tmp_path / "data"
         for name in ("validation.csv", "test.csv"):
@@ -346,12 +381,53 @@ class TestErrorPaths:
         models = tmp_path / "models"
         assert main(["train", "--data", str(data), "--outdir", str(models)]) == 2
         assert not models.exists() or not list(models.iterdir())
-        assert "'octet_delta_count' holds an integer beyond float range" in capsys.readouterr().err
+        assert "numeric octet_delta_count beyond float range (1)" in capsys.readouterr().err
+
+    def test_detect_refuses_a_rejected_row(self, workdir, tmp_path, capsys):
+        def garble(header, rows):
+            rows[5][header.index("packet_delta_count")] = "lots"
+
+        edited = tmp_path / "test.csv"
+        _rewrite_csv(workdir / "data" / "test.csv", edited, garble)
+        out = tmp_path / "verdicts.csv"
+        assert self._detect(workdir, out, input_csv=edited) == 2
+        assert not out.exists()
+        assert "rows rejected: unparsable numeric packet_delta_count (1)" in capsys.readouterr().err
+
+    def test_train_refuses_rows_without_inter_arrival_time(self, workdir, tmp_path, capsys):
+        def blank(header, rows):
+            for row in rows[:3]:
+                row[header.index("inter_arrival_time_milliseconds")] = ""
+
+        data = tmp_path / "data"
+        _rewrite_csv(workdir / "data" / "training.csv", data / "training.csv", blank)
+        for name in ("validation.csv", "test.csv"):
+            _rewrite_csv(workdir / "data" / name, data / name, lambda header, rows: None)
+        models = tmp_path / "models"
+        assert main(["train", "--data", str(data), "--outdir", str(models)]) == 2
+        assert not models.exists()
+        assert "inter_arrival_time_milliseconds in 3 rows" in capsys.readouterr().err
+
+    def test_commands_read_only_the_partitions_they_use(self, workdir, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("training.csv", "validation.csv"):
+            (data / name).write_bytes((workdir / "data" / name).read_bytes())
+        models = tmp_path / "models"
+        quick = ["--set", "epochs_max=3", "--set", "k_max=3"]
+        assert main(["train", "--data", str(data), "--outdir", str(models), *quick]) == 0
+        (data / "training.csv").unlink()
+        assert main(["calibrate", "--data", str(data), "--models", str(models)]) == 0
+        capsys.readouterr()
+        assert main(["bench", "--data", str(data), "--out", str(tmp_path / "bench.json"), *quick]) == 2
+        assert "missing partition file" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "column, edit",
         [
             ("assigned_cluster", "blank_cluster"),
+            ("assigned_cluster", "negative_cluster"),
+            ("distance", "nan_distance"),
             ("actual_label", "unknown_label"),
             ("mse", "negative_mse"),
             ("mse", "missing_mse"),
@@ -368,11 +444,18 @@ class TestErrorPaths:
                 for row in [header, *rows]:
                     del row[at]
                 return
-            if edit == "blank_cluster":
+            cells = {
+                "blank_cluster": "",
+                "negative_cluster": "-1",
+                "nan_distance": "nan",
+                "unknown_label": "bogus",
+                "negative_mse": "-1",
+            }
+            if edit in ("blank_cluster", "negative_cluster", "nan_distance"):
                 index = next(i for i, row in enumerate(rows) if row[header.index("frequent")] == "false")
             else:
                 index = 3
-            rows[index][at] = {"blank_cluster": "", "unknown_label": "bogus", "negative_mse": "-1"}[edit]
+            rows[index][at] = cells[edit]
             line["number"] = index + 2  # the header is line 1
 
         edited = tmp_path / "edited.csv"

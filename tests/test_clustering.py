@@ -469,7 +469,7 @@ class TestClusterThresholds:
         model = clustering.with_thresholds(model, thresholds)
         scores = clustering.score_and_classify(np.array([[100.0]]), model, None)
         assert scores[0].assigned_cluster == 1
-        assert scores[0].known is False
+        assert scores[0].malicious == True
 
 
 class TestScoreAndClassify:
@@ -493,9 +493,9 @@ class TestScoreAndClassify:
         [score] = clustering.score_and_classify(np.array([[0.0, 0.0]]), model, None)
         assert score.distance == 0.0
         assert score.tanh_score == 0.0
-        assert score.known is True
+        assert score.malicious == False
         [score] = clustering.score_and_classify(np.array([[0.0, 0.0]]), model, 0.05)
-        assert score.known is True
+        assert score.malicious == False
 
     def test_tanh_boundary_around_075(self):
         # atanh(0.75) ~ 0.9730: below it known, at/above it unknown
@@ -503,15 +503,15 @@ class TestScoreAndClassify:
         boundary = math.atanh(0.75)
         [below] = clustering.score_and_classify(np.array([[boundary - 1e-6, 0.0]]), model, 0.75)
         [above] = clustering.score_and_classify(np.array([[boundary + 1e-6, 0.0]]), model, 0.75)
-        assert below.known is True
-        assert above.known is False
+        assert below.malicious == False
+        assert above.malicious == True
         assert boundary == pytest.approx(0.9730, abs=1e-4)
 
     def test_strict_threshold_comparison(self):
         model = self._simple_model(thresholds=[1.0, 1.0])
         [score] = clustering.score_and_classify(np.array([[1.0, 0.0]]), model, None)
         assert score.distance == pytest.approx(1.0)
-        assert score.known is False  # distance == threshold is unknown
+        assert score.malicious == True  # distance == threshold is unknown
 
     def test_normalized_distance_definition(self):
         # ||(x - c) / std||_2 / sqrt(d)
@@ -548,7 +548,7 @@ class TestScoreAndClassify:
         for point, verdict in zip(points, raw):
             [tanh_side] = clustering.score_and_classify(point[None, :], tanh_model, None)
             # compare tanh(distance) against tanh(threshold) by hand
-            assert (math.tanh(verdict.distance) < math.tanh(model.per_cluster_thresholds[verdict.assigned_cluster])) == verdict.known
+            assert (math.tanh(verdict.distance) < math.tanh(model.per_cluster_thresholds[verdict.assigned_cluster])) == (not verdict.malicious)
             assert tanh_side.assigned_cluster == verdict.assigned_cluster
 
     def test_tanh_score_range_and_monotonicity(self):

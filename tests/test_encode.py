@@ -234,11 +234,7 @@ class TestProjectFeatures:
 
     def test_manual_subset_missing_column_errors(self):
         matrix = self._matrix()
-        stripped = encode.FeatureMatrix(
-            values=matrix.values[:, :4],
-            columns=matrix.columns[:4],
-            row_indices=matrix.row_indices,
-        )
+        stripped = encode.FeatureMatrix(values=matrix.values[:, :4], columns=matrix.columns[:4])
         with pytest.raises(ConfigError):
             encode.project_features(stripped, ClusteringFeatures.MANUAL_SUBSET)
 

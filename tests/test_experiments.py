@@ -147,7 +147,7 @@ class TestBenchmark:
             encode.apply_recipe(list(flows), trained.recipe) for flows in (training, validation, test)
         )
         separate = autoencoder.compute_mse(autoencoder.train_filter1(train_m, val_m, config), test_m)
-        assert np.array_equal(separate, [v.mse for v in classify_flows(trained, test)])
+        assert np.array_equal(separate, classify_flows(trained, test).mse)
 
         labels = [flow.actual_label for flow in test]
         want = {s.value: auprc(separate, labels, s) for s in ATTACK_CLASSES}

@@ -112,13 +112,10 @@ class TestParseDataset:
     )
     def test_integer_beyond_float_range_rejected_with_float_range(self, column):
         payload = self._one_row_with(**{column: "9" * 401})
-        records, report = ingest.parse_dataset(payload, float_range=True)
+        records, report = ingest.parse_dataset(payload)
         assert records == []
         assert report.reject_reasons == {f"numeric {column} beyond float range": 1}
         assert report.rejected_rows == [(1, f"numeric {column} beyond float range")]
-        # without the check the row parses; train and detect refuse it when encoding
-        records, report = ingest.parse_dataset(payload)
-        assert report.rows_rejected == 0 and len(records) == 1
 
     @pytest.mark.parametrize(
         "cell, accepted",
@@ -132,9 +129,7 @@ class TestParseDataset:
         ],
     )
     def test_float_range_boundary(self, cell, accepted):
-        records, report = ingest.parse_dataset(
-            self._one_row_with(octet_delta_count=cell), float_range=True
-        )
+        records, report = ingest.parse_dataset(self._one_row_with(octet_delta_count=cell))
         if accepted:
             assert report.rows_rejected == 0
             assert records[0].octet_delta_count == int(cell)
@@ -143,10 +138,10 @@ class TestParseDataset:
 
     def test_float_range_keeps_the_first_bad_field(self):
         payload = self._one_row_with(device_id="?", octet_delta_count="9" * 401)
-        _, report = ingest.parse_dataset(payload, float_range=True)
+        _, report = ingest.parse_dataset(payload)
         assert report.reject_reasons == {"unparsable numeric device_id": 1}
         payload = self._one_row_with(device_id="9" * 401, octet_delta_count="?")
-        _, report = ingest.parse_dataset(payload, float_range=True)
+        _, report = ingest.parse_dataset(payload)
         assert report.reject_reasons == {"numeric device_id beyond float range": 1}
 
     def test_float_range_parses_valid_rows_alike(self):
@@ -154,8 +149,9 @@ class TestParseDataset:
         # a long prefix makes the row long enough to take the checked path
         long = make_record(device_id=2, destination_network_prefix="p" * 400)
         payload = _csv_bytes([short, long, short])
-        assert ingest.parse_dataset(payload, float_range=True) == ingest.parse_dataset(payload)
-        assert len(ingest.parse_dataset(payload)[0]) == 3
+        records, report = ingest.parse_dataset(payload)
+        assert report.rows_rejected == 0
+        assert records == [short, long, short]
 
     def test_header_case_insensitive(self):
         text = _csv_bytes([make_record()]).decode("utf-8")

@@ -3,17 +3,28 @@ import pytest
 
 from flowsieve import metrics
 from flowsieve.errors import DataError
-from flowsieve.records import FinalLabel, LabelClass, Verdict
+from flowsieve.records import LabelClass, verdict_table
 
 NMAP = LabelClass.BEING_SCANNED_BY_NMAP
 CRYPTO = LabelClass.EXECUTING_CRYPTOMINING
 BENIGN = LabelClass.ASSUMED_BENIGN
 
 
-def _verdict(malicious: bool, index=0, tanh=None) -> Verdict:
-    if tanh is None:
-        tanh = 0.9 if malicious else 0.1
-    return Verdict.for_infrequent(index, 0.5, 0, np.arctanh(tanh), tanh, known=not malicious)
+def _table(malicious, tanh=None, frequent=None) -> np.recarray:
+    """Verdict table of flows with the given malicious flags. Tanh scores
+    default to 0.9 on malicious flows and 0.1 on the others; the rows
+    `frequent` marks carry no cluster fields."""
+    malicious = np.asarray(malicious, dtype=bool)
+    tanh = np.where(malicious, 0.9, 0.1) if tanh is None else np.asarray(tanh, dtype=float)
+    frequent = np.zeros(malicious.shape, dtype=bool) if frequent is None else np.asarray(frequent)
+    return verdict_table(
+        np.full(malicious.shape, 0.5),
+        frequent,
+        np.where(frequent, -1, 0),
+        np.where(frequent, np.nan, np.arctanh(tanh)),
+        np.where(frequent, np.nan, tanh),
+        malicious,
+    )
 
 
 def in_scope(outcome: metrics.ScenarioOutcome) -> int:
@@ -23,27 +34,21 @@ def in_scope(outcome: metrics.ScenarioOutcome) -> int:
 class TestConfusion:
     def test_counts_by_scenario(self):
         labels = [NMAP, NMAP, CRYPTO, BENIGN, BENIGN, BENIGN]
-        verdicts = [
-            _verdict(True),
-            _verdict(False),
-            _verdict(True),  # other attack class: out of scope for NMAP
-            _verdict(True),
-            _verdict(False),
-            _verdict(False),
-        ]
+        # the third flow, of another attack class, is out of scope for NMAP
+        verdicts = _table([True, False, True, True, False, False])
         outcome = metrics.confusion(verdicts, labels, NMAP)
         assert (outcome.tp, outcome.fn, outcome.fp, outcome.tn) == (1, 1, 1, 2)
         assert in_scope(outcome) == 5  # crypto flow excluded
 
     def test_all_benign_verdicts(self):
         labels = [NMAP, BENIGN]
-        verdicts = [_verdict(False), _verdict(False)]
+        verdicts = _table([False, False])
         outcome = metrics.confusion(verdicts, labels, NMAP)
         assert outcome.tp == 0 and outcome.fp == 0
 
     def test_count_mismatch_errors(self):
         with pytest.raises(DataError):
-            metrics.confusion([_verdict(True)], [NMAP, BENIGN], NMAP)
+            metrics.confusion(_table([True]), [NMAP, BENIGN], NMAP)
 
     def test_benign_scenario_rejected(self):
         with pytest.raises(DataError):
@@ -52,7 +57,7 @@ class TestConfusion:
     def test_partition_property(self):
         rng = np.random.default_rng(0)
         labels = [rng.choice([NMAP, CRYPTO, BENIGN]) for _ in range(200)]
-        verdicts = [_verdict(bool(rng.integers(2)), index=i) for i in range(200)]
+        verdicts = _table([bool(rng.integers(2)) for _ in range(200)])
         for scenario in (NMAP, CRYPTO):
             outcome = metrics.confusion(verdicts, labels, scenario)
             expected = sum(1 for l in labels if l is scenario or l is BENIGN)
@@ -184,16 +189,11 @@ class TestThresholdMonotonicity:
         recalls = []
         benign_predictions = []
         for tau in taus:
-            verdicts = [
-                Verdict.for_infrequent(i, 0.5, 0, np.arctanh(t), t, known=bool(t < tau))
-                for i, t in enumerate(tanh_scores)
-            ]
+            verdicts = _table(tanh_scores >= tau, tanh=tanh_scores)
             outcome = metrics.confusion(verdicts, labels, NMAP)
             m = metrics.scenario_metrics(outcome)
             recalls.append(m.recall)
-            benign_predictions.append(
-                sum(1 for v in verdicts if v.final_label is FinalLabel.BENIGN)
-            )
+            benign_predictions.append(int(np.count_nonzero(~verdicts.malicious)))
         assert all(b <= a + 1e-12 for a, b in zip(recalls, recalls[1:]))
         assert all(b >= a for a, b in zip(benign_predictions, benign_predictions[1:]))
 
@@ -201,13 +201,11 @@ class TestThresholdMonotonicity:
 class TestEvalReport:
     def test_report_assembly_and_serialization(self):
         labels = [NMAP, NMAP, CRYPTO, BENIGN, BENIGN]
-        verdicts = [
-            _verdict(True, 0, 0.9),
-            _verdict(True, 1, 0.85),
-            _verdict(True, 2, 0.95),
-            Verdict.for_frequent(3, 0.0001),
-            _verdict(False, 4, 0.2),
-        ]
+        verdicts = _table(
+            [True, True, True, False, False],
+            tanh=[0.9, 0.85, 0.95, 0.0, 0.2],
+            frequent=[False, False, False, True, False],
+        )
         report = metrics.build_eval_report(
             verdicts, labels, config_snapshot={"rng_seed": 1}, thresholds={"th_frequent": 0.1}
         )
@@ -218,7 +216,7 @@ class TestEvalReport:
         assert "runtime" not in str(payload)  # volatile data never serialized
 
     def test_verdict_scores_convention(self):
-        verdicts = [Verdict.for_frequent(0, 0.001), _verdict(True, 1, 0.8)]
+        verdicts = _table([False, True], tanh=[0.0, 0.8], frequent=[True, False])
         scores = metrics.verdict_scores(verdicts)
         assert scores[0] == 0.0
         assert scores[1] == pytest.approx(0.8)

@@ -5,7 +5,7 @@ import pytest
 
 from flowsieve import autoencoder, clustering, encode, pipeline
 from flowsieve.config import ClusteringFeatures, DistanceMode, PipelineConfig
-from flowsieve.records import FinalLabel, LabelClass
+from flowsieve.records import LabelClass
 
 
 @pytest.fixture(scope="module")
@@ -50,19 +50,19 @@ class TestClassify:
         assert len(verdicts) == len(test)
         matrix = encode.apply_recipe(test, trained.recipe)
         mses = autoencoder.compute_mse(trained.filter1, matrix)
+        # row i of the table is the verdict on flow i
         for i, verdict in enumerate(verdicts):
-            assert verdict.flow_index == i
             assert verdict.mse == pytest.approx(float(mses[i]))
             assert verdict.frequent == (mses[i] < trained.th_frequent)
             if verdict.frequent:
-                assert verdict.final_label is FinalLabel.BENIGN
+                assert verdict.malicious == False
 
     def test_attack_flows_all_infrequent(self, trained, synth_partitions):
         *_, test = synth_partitions
         verdicts = pipeline.classify_flows(trained, test)
         for flow, verdict in zip(test, verdicts):
             if flow.actual_label.is_attack:
-                assert verdict.frequent is False
+                assert verdict.frequent == False
 
     def test_per_cluster_mode(self, trained, synth_partitions):
         *_, test = synth_partitions
@@ -70,7 +70,7 @@ class TestClassify:
         recall_hits = sum(
             1
             for flow, verdict in zip(test, verdicts)
-            if flow.actual_label.is_attack and verdict.final_label is FinalLabel.MALICIOUS
+            if flow.actual_label.is_attack and verdict.malicious
         )
         attacks = sum(1 for flow in test if flow.actual_label.is_attack)
         assert recall_hits / attacks >= 0.95
@@ -79,9 +79,9 @@ class TestClassify:
         *_, test = synth_partitions
         strict = pipeline.classify_flows(_with_tau(trained, 0.999999), test)
         # an extremely permissive threshold lets (almost) everything pass
-        malicious = sum(1 for v in strict if v.final_label is FinalLabel.MALICIOUS)
+        malicious = int(strict.malicious.sum())
         default = pipeline.classify_flows(_with_tau(trained, 0.75), test)
-        malicious_default = sum(1 for v in default if v.final_label is FinalLabel.MALICIOUS)
+        malicious_default = int(default.malicious.sum())
         assert malicious <= malicious_default
 
 
@@ -104,7 +104,7 @@ class TestEvaluate:
         report, verdicts = pipeline.evaluate_pipeline(_with_tau(trained, None), test)
         assert report.thresholds["mode"] == "per_cluster"
         assert report.thresholds["global_tanh_threshold"] is None
-        assert verdicts == pipeline.classify_flows(_with_tau(trained, None), test)
+        assert verdicts.tobytes() == pipeline.classify_flows(_with_tau(trained, None), test).tobytes()
 
 
 class TestFeatureSpaces:

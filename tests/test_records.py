@@ -1,18 +1,18 @@
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowsieve import ingest
 from flowsieve.records import (
-    FinalLabel,
     LabelClass,
     PartitionTag,
-    Verdict,
     flow_start_ms,
     split_flow_start,
     validate_record,
+    verdict_table,
 )
 
 from conftest import make_record
@@ -75,34 +75,47 @@ class TestTimestamps:
         assert flow_start_ms(1, 0, 0, 0, 0) == 86_400_000
 
 
+NAN = float("nan")
+
+
 class TestVerdictStateMachine:
+    """The verdict table's two row shapes, built by `verdict_table`."""
+
     def test_frequent_verdict_shape(self):
-        verdict = Verdict.for_frequent(3, 0.001)
-        assert verdict.final_label is FinalLabel.BENIGN
-        assert verdict.assigned_cluster is None
-        assert verdict.known is None
+        [verdict] = verdict_table([0.001], [True], [-1], [NAN], [NAN], [False])
+        assert verdict.malicious == False
+        assert verdict.assigned_cluster == -1
+        assert np.isnan(verdict.distance) and np.isnan(verdict.tanh_score)
 
     def test_infrequent_verdict_shape(self):
-        verdict = Verdict.for_infrequent(3, 0.2, 4, 1.2, 0.83, known=False)
-        assert verdict.final_label is FinalLabel.MALICIOUS
-        verdict = Verdict.for_infrequent(3, 0.2, 4, 0.2, 0.19, known=True)
-        assert verdict.final_label is FinalLabel.BENIGN
+        table = verdict_table([0.2, 0.2], [False, False], [4, 4], [1.2, 0.2], [0.83, 0.19], [True, False])
+        assert table.malicious.tolist() == [True, False]
+        assert table.assigned_cluster.tolist() == [4, 4]
 
     def test_frequent_with_cluster_fields_rejected(self):
-        with pytest.raises(ValueError):
-            Verdict(0, 0.1, True, 2, 0.5, 0.46, True, FinalLabel.BENIGN)
+        with pytest.raises(ValueError, match="no cluster fields"):
+            verdict_table([0.1], [True], [2], [0.5], [0.46], [False])
+        with pytest.raises(ValueError, match="no cluster fields"):
+            verdict_table([0.1], [True], [-1], [0.5], [NAN], [False])
 
     def test_frequent_malicious_rejected(self):
-        with pytest.raises(ValueError):
-            Verdict(0, 0.1, True, None, None, None, None, FinalLabel.MALICIOUS)
+        with pytest.raises(ValueError, match="benign"):
+            verdict_table([0.1], [True], [-1], [NAN], [NAN], [True])
 
     def test_infrequent_missing_fields_rejected(self):
-        with pytest.raises(ValueError):
-            Verdict(0, 0.1, False, None, 0.5, 0.46, True, FinalLabel.BENIGN)
+        with pytest.raises(ValueError, match="all cluster fields"):
+            verdict_table([0.1], [False], [-1], [0.5], [0.46], [False])
+        with pytest.raises(ValueError, match="all cluster fields"):
+            verdict_table([0.1], [False], [1], [0.5], [NAN], [False])
 
-    def test_label_known_coupling_rejected(self):
+    def test_negative_mse_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            verdict_table([-0.1], [True], [-1], [NAN], [NAN], [False])
+
+    def test_table_is_read_only(self):
+        table = verdict_table([0.1], [True], [-1], [NAN], [NAN], [False])
         with pytest.raises(ValueError):
-            Verdict(0, 0.1, False, 1, 0.5, 0.46, False, FinalLabel.BENIGN)
+            table.malicious[0] = True
 
 
 _labels = st.sampled_from(list(LabelClass))

@@ -96,3 +96,32 @@ def test_bench_fits_the_autoencoder_once_and_encodes_every_flow_once(tracer_modu
     assert counts["autoencoder.fits"] == 1
     assert counts["autoencoder.redundant_fits"] == 0
     assert counts["encode.rows_encoded"] == sum(len(part) for part in flows)
+
+
+def test_classify_counts_follow_the_verdict_table(tracer_module):
+    # the tracer counts scored rows by len() of score_and_classify's result
+    # and infrequent rows by each classify_matrix row's `frequent`
+    from flowsieve import encode, ingest, pipeline
+    from flowsieve.config import PipelineConfig
+    from flowsieve.synth import SynthConfig, generate
+
+    synth = SynthConfig(days=3, split_days=(1, 1, 1), seed=42)
+    cleansed, _ = ingest.preprocess(generate(synth))
+    parts = ingest.partition_chronologically(
+        cleansed, split_days=synth.split_days, lab_network_id=synth.lab_network_id
+    )
+    config = PipelineConfig(epochs_max=3, patience_max=3, k_max=3)
+    trained = pipeline.train_pipeline(parts.training, parts.validation, config)
+    matrix = encode.apply_recipe(parts.test, trained.recipe)
+
+    tracer = tracer_module.Tracer()
+    tracer.begin_session(0)
+    tracer.begin_step(0)
+    tracer.install()
+    try:
+        table = pipeline.classify_matrix(trained, matrix)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics(0, [])
+    assert 0 < metrics["clustering.scored_rows"] == np.count_nonzero(~table.frequent) < len(table)
+    assert metrics["pipeline.infrequent_share"] == np.mean(~table.frequent)
