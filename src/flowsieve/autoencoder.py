@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .config import PipelineConfig
-from .encode import EncodingRecipe, FeatureMatrix
+from .encode import EncodingRecipe
 from .errors import DataError, NumericError, SchemaError, artifact_field
 from .stats import TAG_AE_INIT, TAG_AE_SHUFFLE, derive_rng, nearest_rank_percentile
 
@@ -164,9 +164,9 @@ def bottleneck_activations(model: Filter1Model, x: np.ndarray) -> np.ndarray:
     return _forward(model, np.atleast_2d(x))[_BOTTLENECK_INDEX]
 
 
-def compute_mse(model: Filter1Model, matrix: FeatureMatrix | np.ndarray) -> np.ndarray:
+def compute_mse(model: Filter1Model, x: np.ndarray) -> np.ndarray:
     """Per-row reconstruction error: mean over dimensions of squared error."""
-    x = matrix.values if isinstance(matrix, FeatureMatrix) else np.atleast_2d(np.asarray(matrix, dtype=float))
+    x = np.atleast_2d(x)
     if x.shape[1] != model.input_dim:
         raise DataError(
             f"matrix dimension {x.shape[1]} does not match model input {model.input_dim}"
@@ -208,11 +208,8 @@ def loss_and_gradients(
 
 @dataclass
 class TrainState:
-    """Mutable optimizer state threaded through the training epochs."""
+    """Adam's step count and moment estimates, threaded through training."""
 
-    epoch: int = 0
-    previous_validation_mse: Optional[float] = None
-    epochs_without_improvement: int = 0
     step: int = 0
     first_moments: list[np.ndarray] = field(default_factory=list)
     second_moments: list[np.ndarray] = field(default_factory=list)
@@ -239,11 +236,7 @@ def _adam_update(model: Filter1Model, state: TrainState, grad_w, grad_b) -> None
             p -= ADAM_STEP_SIZE * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
-def train_filter1(
-    training: FeatureMatrix | np.ndarray,
-    validation: FeatureMatrix | np.ndarray,
-    config: PipelineConfig,
-) -> Filter1Model:
+def train_filter1(training: np.ndarray, validation: np.ndarray, config: PipelineConfig) -> Filter1Model:
     """Train the frequency filter with early stopping.
 
     Stops at epochs_max, or once the epoch-over-epoch improvement of the
@@ -251,14 +244,12 @@ def train_filter1(
     epochs. Improvement tracking starts at the second epoch, when a
     previous validation MSE exists.
     """
-    x_train = training.values if isinstance(training, FeatureMatrix) else np.asarray(training, dtype=float)
-    x_val = validation.values if isinstance(validation, FeatureMatrix) else np.asarray(validation, dtype=float)
-    if x_train.ndim != 2 or x_train.shape[0] == 0:
+    if training.ndim != 2 or training.shape[0] == 0:
         raise DataError("training matrix must be a non-empty 2-D array")
-    if x_train.shape[1] != x_val.shape[1]:
+    if training.shape[1] != validation.shape[1]:
         raise DataError("training and validation matrices must share their dimension")
 
-    model = build_ae(x_train.shape[1], seed=config.rng_seed)
+    model = build_ae(training.shape[1], seed=config.rng_seed)
     state = TrainState(
         first_moments=[np.zeros_like(w) for w in model.weights],
         second_moments=[np.zeros_like(w) for w in model.weights],
@@ -266,40 +257,36 @@ def train_filter1(
         second_moments_b=[np.zeros_like(b) for b in model.biases],
     )
     shuffle_rng = derive_rng(config.rng_seed, TAG_AE_SHUFFLE)
-    n = x_train.shape[0]
+    n = training.shape[0]
     history: list[float] = []
+    epochs_without_improvement = 0
 
     for epoch in range(1, config.epochs_max + 1):
-        state.epoch = epoch
         order = shuffle_rng.permutation(n)
         for start in range(0, n, config.batch_size):
-            batch = x_train[order[start : start + config.batch_size]]
+            batch = training[order[start : start + config.batch_size]]
             try:
                 _, grad_w, grad_b = loss_and_gradients(model, batch)
             except NumericError:
                 raise NumericError(f"training diverged at epoch {epoch}") from None
             _adam_update(model, state, grad_w, grad_b)
-        validation_mse = float(np.mean(compute_mse(model, x_val)))
+        validation_mse = float(np.mean(compute_mse(model, validation)))
         if not math.isfinite(validation_mse):
             raise NumericError(f"training diverged at epoch {epoch}")
-        history.append(validation_mse)
-        if state.previous_validation_mse is not None:
-            improvement = state.previous_validation_mse - validation_mse
-            if improvement < config.delta_min:
-                state.epochs_without_improvement += 1
+        if history:
+            if history[-1] - validation_mse < config.delta_min:
+                epochs_without_improvement += 1
             else:
-                state.epochs_without_improvement = 0
-        state.previous_validation_mse = validation_mse
-        if state.epochs_without_improvement >= config.patience_max:
+                epochs_without_improvement = 0
+        history.append(validation_mse)
+        if epochs_without_improvement >= config.patience_max:
             break
 
     model.training_history = history
     return model
 
 
-def set_frequency_threshold(
-    model: Filter1Model, validation: FeatureMatrix | np.ndarray, pctl_frequent: float
-) -> float:
+def set_frequency_threshold(model: Filter1Model, validation: np.ndarray, pctl_frequent: float) -> float:
     """Nearest-rank percentile of the sorted validation reconstruction MSE."""
     mses = compute_mse(model, validation)
     if mses.size == 0:

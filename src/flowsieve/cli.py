@@ -157,14 +157,33 @@ def _dataset_text(records) -> str:
     return buffer.getvalue()
 
 
-def _cmd_synth(args) -> int:
-    split = tuple(int(v) for v in args.split.split(","))
+def _split_days(text: str) -> tuple[int, int, int]:
+    """--split: three comma-separated day counts."""
+    try:
+        split = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        split = ()
     if len(split) != 3:
-        raise UsageError("--split expects three comma-separated day counts")
+        raise argparse.ArgumentTypeError(f"expected three comma-separated day counts, got {text!r}")
+    return split  # type: ignore[return-value]
+
+
+def _sizes(text: str) -> list[int]:
+    """--sizes: a comma-separated list of integers; blank items are skipped."""
+    try:
+        sizes = [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        sizes = []
+    if not sizes:
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list of integers, got {text!r}")
+    return sizes
+
+
+def _cmd_synth(args) -> int:
     config = SynthConfig(
         n_homes=args.homes,
-        days=sum(split),
-        split_days=split,  # type: ignore[arg-type]
+        days=sum(args.split),
+        split_days=args.split,
         seed=args.seed if args.seed is not None else DEFAULT_SEED,
     )
     flows = generate(config)
@@ -177,9 +196,6 @@ def _cmd_synth(args) -> int:
 
 def _cmd_ingest(args) -> int:
     config = _build_config(args)
-    split = tuple(int(v) for v in args.split.split(","))
-    if len(split) != 3:
-        raise UsageError("--split expects three comma-separated day counts")
     records, parse_report = ingest.parse_dataset(Path(args.input))
     if not records:
         raise DataError("no parseable rows in input")
@@ -197,7 +213,7 @@ def _cmd_ingest(args) -> int:
     if not cleansed:
         raise DataError("preprocessing dropped every row")
     partitions = ingest.partition_chronologically(
-        cleansed, split_days=split, lab_network_id=args.lab_network  # type: ignore[arg-type]
+        cleansed, split_days=args.split, lab_network_id=args.lab_network
     )
     training, sanitized_count = ingest.sanitize_training(
         partitions.training, config.sanitize_min_port_count
@@ -376,9 +392,12 @@ def _non_negative_float(text: str) -> float:
     return value
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _cluster_index(text: str) -> int:
     value = int(text)
-    if not 0 <= value <= np.iinfo(np.int64).max:
+    if not 0 <= value <= _INT64_MAX:
         raise ValueError(text)
     return value
 
@@ -522,10 +541,7 @@ def _cmd_grid(args) -> int:
 def _cmd_sweep(args) -> int:
     config = _build_config(args)
     training, validation, test = (_read_partition(Path(args.data) / name) for name in PARTITION_CSVS)
-    sizes = [int(v) for v in args.sizes.split(",") if v.strip()]
-    if not sizes:
-        raise UsageError("--sizes expects a comma-separated list of integers")
-    points = sensitivity_sweep(training, validation, test, sizes, config)
+    points = sensitivity_sweep(training, validation, test, args.sizes, config)
     rows = [["size", "macro_precision", "macro_recall", "macro_f1", "error"]]
     for point in points:
         rows.append(
@@ -554,14 +570,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate a labeled synthetic dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--homes", type=int, default=5)
-    p.add_argument("--split", default="4,1,2", help="training,validation,test days")
+    p.add_argument("--split", type=_split_days, default="4,1,2", help="training,validation,test days")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("ingest", help="parse, cleanse and partition a dataset CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--outdir", required=True)
-    p.add_argument("--split", default="13,3,5")
+    p.add_argument("--split", type=_split_days, default="13,3,5")
     p.add_argument("--lab-network", type=int, default=5)
     _add_config_options(p)
     p.set_defaults(func=_cmd_ingest)
@@ -616,7 +632,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="training-size sensitivity sweep")
     p.add_argument("--data", required=True)
-    p.add_argument("--sizes", required=True)
+    p.add_argument("--sizes", type=_sizes, required=True)
     p.add_argument("--out", required=True)
     _add_config_options(p)
     p.set_defaults(func=_cmd_sweep)

@@ -9,7 +9,8 @@ magnitude still shows up as reconstruction error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from operator import attrgetter
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -17,62 +18,37 @@ from .config import ClusteringFeatures, IpTreatment, NumericTreatment, PipelineC
 from .errors import ConfigError, DataError, SchemaError, artifact_field
 from .records import TCP_BIT_NAMES, FlowRecord
 
+if TYPE_CHECKING:
+    from .autoencoder import Filter1Model
+
 OTHER = "OTHER"
 
 RECIPE_SCHEMA_VERSION = 1
 
-# Column inventory in declaration order. Categorical columns expand into
-# one indicator per vocabulary value (lexicographic) plus OTHER.
-_CATEGORICAL_GETTERS: dict[str, Callable[[FlowRecord], str]] = {
-    "protocol_identifier": lambda r: str(r.protocol_identifier),
-    "flow_end_reason": lambda r: r.flow_end_reason,
-    "network_class_of_destination": lambda r: r.network_class_of_destination,
-    "destination_network_prefix": lambda r: r.destination_network_prefix or "",
-    "reputation_status": lambda r: r.reputation_status,
-}
-
-_NUMERIC_GETTERS: dict[str, Callable[[FlowRecord], float]] = {
-    "flow_duration_milliseconds": lambda r: float(r.flow_duration_milliseconds),
-    "octet_delta_count": lambda r: float(r.octet_delta_count),
-    "packet_delta_count": lambda r: float(r.packet_delta_count),
-    "avg_packet_size": lambda r: r.avg_packet_size,
-    "inter_arrival_time_milliseconds": lambda r: float(r.inter_arrival_time_milliseconds or 0),
-    "same_dest_port_count_pool": lambda r: float(r.same_dest_port_count_pool or 0),
-    "same_dest_ip_count_pool": lambda r: float(r.same_dest_ip_count_pool or 0),
-    "dns_host_pct_numerical_chars": lambda r: float(r.dns_host_pct_numerical_chars or 0.0),
-}
-
-_BINARY_GETTERS: dict[str, Callable[[FlowRecord], float]] = {
-    **{
-        f"tcp_{name}": (lambda bit: (lambda r: float((r.tcp_control_bits >> bit) & 1)))(bit)
-        for bit, name in enumerate(TCP_BIT_NAMES)
-    },
-    "has_dns_request_from_pool": lambda r: float(r.has_dns_request_from_pool),
-}
-
-# Declaration order of the encoded feature groups.
-_FEATURE_ORDER: tuple[tuple[str, str], ...] = (
-    ("categorical", "protocol_identifier"),
-    ("numeric", "flow_duration_milliseconds"),
-    ("numeric", "octet_delta_count"),
-    ("numeric", "packet_delta_count"),
-    ("numeric", "avg_packet_size"),
-    ("categorical", "flow_end_reason"),
-    ("binary", "tcp_syn"),
-    ("binary", "tcp_ack"),
-    ("binary", "tcp_fin"),
-    ("binary", "tcp_psh"),
-    ("binary", "tcp_rst"),
-    ("binary", "tcp_urg"),
-    ("categorical", "network_class_of_destination"),
-    ("categorical", "destination_network_prefix"),
-    ("numeric", "inter_arrival_time_milliseconds"),
-    ("categorical", "reputation_status"),
-    ("numeric", "same_dest_port_count_pool"),
-    ("numeric", "same_dest_ip_count_pool"),
-    ("binary", "has_dns_request_from_pool"),
-    ("numeric", "dns_host_pct_numerical_chars"),
+# Encoded features in declaration order: (kind, feature, record field).
+# A categorical feature expands into one indicator per vocabulary value
+# (lexicographic) plus OTHER, and encodes an absent field as "". An
+# optional numeric field encodes an absent value, and -0.0, as 0. A binary
+# feature is a TCP control bit or a boolean field.
+_FEATURES: tuple[tuple[str, str, str], ...] = (
+    ("categorical", "protocol_identifier", "protocol_identifier"),
+    ("numeric", "flow_duration_milliseconds", "flow_duration_milliseconds"),
+    ("numeric", "octet_delta_count", "octet_delta_count"),
+    ("numeric", "packet_delta_count", "packet_delta_count"),
+    ("numeric", "avg_packet_size", "avg_packet_size"),
+    ("categorical", "flow_end_reason", "flow_end_reason"),
+    *(("binary", f"tcp_{name}", "tcp_control_bits") for name in TCP_BIT_NAMES),
+    ("categorical", "network_class_of_destination", "network_class_of_destination"),
+    ("categorical", "destination_network_prefix", "destination_network_prefix"),
+    ("optional", "inter_arrival_time_milliseconds", "inter_arrival_time_milliseconds"),
+    ("categorical", "reputation_status", "reputation_status"),
+    ("optional", "same_dest_port_count_pool", "same_dest_port_count_pool"),
+    ("optional", "same_dest_ip_count_pool", "same_dest_ip_count_pool"),
+    ("binary", "has_dns_request_from_pool", "has_dns_request_from_pool"),
+    ("optional", "dns_host_pct_numerical_chars", "dns_host_pct_numerical_chars"),
 )
+
+_TCP_BITS = {f"tcp_{name}": bit for bit, name in enumerate(TCP_BIT_NAMES)}
 
 # The manually selected clustering subset, in its documented order.
 MANUAL_SUBSET_COLUMNS = (
@@ -138,26 +114,25 @@ class FeatureMatrix:
     def n_rows(self) -> int:
         return int(self.values.shape[0])
 
-    @property
-    def dimension(self) -> int:
-        return int(self.values.shape[1])
-
-    def take(self, mask_or_indices) -> "FeatureMatrix":
-        return FeatureMatrix(values=self.values[np.asarray(mask_or_indices)], columns=self.columns)
-
 
 def _active_features(ip_treatment: IpTreatment):
-    for kind, name in _FEATURE_ORDER:
-        if name == "destination_network_prefix" and ip_treatment is IpTreatment.DROP:
+    for kind, feature, field in _FEATURES:
+        if feature == "destination_network_prefix" and ip_treatment is IpTreatment.DROP:
             continue
-        yield kind, name
+        yield kind, feature, field
 
 
-def _numeric_column(flows: list[FlowRecord], name: str, treatment: NumericTreatment) -> np.ndarray:
+def _categories(column: list) -> list[str]:
+    return ["" if value is None else str(value) for value in column]
+
+
+def _numeric_column(column: list, kind: str, name: str, treatment: NumericTreatment) -> np.ndarray:
     """One numeric column after its treatment; a value beyond float range
     or not finite after the treatment fails, naming the column."""
+    if kind == "optional":
+        column = [value or 0 for value in column]
     try:
-        values = np.array([_NUMERIC_GETTERS[name](flow) for flow in flows], dtype=float)
+        values = np.array(column, dtype=float)
     except OverflowError:
         raise DataError(f"column {name!r} holds an integer beyond float range") from None
     if treatment is NumericTreatment.LOG1P:
@@ -166,7 +141,7 @@ def _numeric_column(flows: list[FlowRecord], name: str, treatment: NumericTreatm
     bad = int(np.count_nonzero(~np.isfinite(values)))
     if bad:
         raise DataError(
-            f"column {name!r} is not finite after {treatment.value} in {bad} of {len(flows)} rows"
+            f"column {name!r} is not finite after {treatment.value} in {bad} of {len(column)} rows"
         )
     return values
 
@@ -181,19 +156,17 @@ def fit_recipe(training_flows: list[FlowRecord], config: PipelineConfig) -> Enco
     vocabularies: dict[str, tuple[str, ...]] = {}
     numeric_stats: dict[str, tuple[float, float]] = {}
     columns: list[str] = []
-    for kind, name in _active_features(config.ip_treatment):
+    for kind, name, field in _active_features(config.ip_treatment):
+        column = list(map(attrgetter(field), training_flows))
         if kind == "categorical":
-            getter = _CATEGORICAL_GETTERS[name]
-            vocab = tuple(sorted({getter(flow) for flow in training_flows}))
+            vocab = tuple(sorted(set(_categories(column))))
             vocabularies[name] = vocab
-            columns.extend(f"{name}={value}" for value in vocab)
-            columns.append(f"{name}={OTHER}")
-        elif kind == "numeric":
-            transformed = _numeric_column(training_flows, name, config.numeric_treatment)
+            columns.extend(f"{name}={value}" for value in (*vocab, OTHER))
+            continue
+        if kind != "binary":
+            transformed = _numeric_column(column, kind, name, config.numeric_treatment)
             numeric_stats[name] = (float(transformed.min()), float(transformed.max()))
-            columns.append(name)
-        else:
-            columns.append(name)
+        columns.append(name)
     return EncodingRecipe(
         ip_treatment=config.ip_treatment,
         numeric_treatment=config.numeric_treatment,
@@ -205,32 +178,26 @@ def fit_recipe(training_flows: list[FlowRecord], config: PipelineConfig) -> Enco
 
 def apply_recipe(flows: list[FlowRecord], recipe: EncodingRecipe) -> FeatureMatrix:
     """Encode flows under a fitted recipe into an (n, d) matrix in [0, 1]."""
-    n = len(flows)
-    values = np.zeros((n, recipe.dimension), dtype=float)
+    values = np.zeros((len(flows), recipe.dimension), dtype=float)
     position = 0
-    for kind, name in _active_features(recipe.ip_treatment):
+    for kind, name, field in _active_features(recipe.ip_treatment):
+        column = list(map(attrgetter(field), flows))
         if kind == "categorical":
-            getter = _CATEGORICAL_GETTERS[name]
             vocab = recipe.vocabularies[name]
             index = {value: i for i, value in enumerate(vocab)}
-            width = len(vocab) + 1  # + OTHER
-            for row, flow in enumerate(flows):
-                offset = index.get(getter(flow), len(vocab))
-                values[row, position + offset] = 1.0
-            position += width
-        elif kind == "numeric":
-            transformed = _numeric_column(flows, name, recipe.numeric_treatment)
-            lo, hi = recipe.numeric_stats[name]
-            if hi > lo:
-                scaled = (transformed - lo) / (hi - lo)
-            else:
-                scaled = np.zeros_like(transformed)
-            values[:, position] = np.clip(scaled, 0.0, 1.0)
-            position += 1
+            offsets = [index.get(value, len(vocab)) for value in _categories(column)]
+            values[np.arange(len(flows)), position + np.array(offsets, dtype=np.intp)] = 1.0
+            position += len(vocab) + 1  # + OTHER
+            continue
+        if kind == "binary":
+            bit = _TCP_BITS.get(name)
+            values[:, position] = column if bit is None else [(value >> bit) & 1 for value in column]
         else:
-            getter = _BINARY_GETTERS[name]
-            values[:, position] = [getter(flow) for flow in flows]
-            position += 1
+            transformed = _numeric_column(column, kind, name, recipe.numeric_treatment)
+            lo, hi = recipe.numeric_stats[name]
+            scaled = (transformed - lo) / (hi - lo) if hi > lo else np.zeros_like(transformed)
+            values[:, position] = np.clip(scaled, 0.0, 1.0)
+        position += 1
     return FeatureMatrix(values=values, columns=recipe.columns)
 
 
@@ -272,9 +239,8 @@ class PcaBasis:
 VARIANCE_TARGET = 0.95
 
 
-def fit_pca(matrix: FeatureMatrix | np.ndarray) -> PcaBasis:
+def fit_pca(data: np.ndarray) -> PcaBasis:
     """Eigendecomposition of the sample covariance, descending eigenvalues."""
-    data = matrix.values if isinstance(matrix, FeatureMatrix) else np.asarray(matrix, dtype=float)
     n = data.shape[0]
     if n < 2:
         raise DataError("PCA requires at least two rows")
@@ -307,43 +273,33 @@ def pca_project(basis: PcaBasis, values: np.ndarray, n_components: Optional[int]
 
 
 def project_features(
-    matrix: FeatureMatrix,
-    mode: ClusteringFeatures,
-    aux=None,
-) -> FeatureMatrix:
-    """Map an encoded matrix into the clustering feature space.
+    x: np.ndarray,
+    feature_space: ClusteringFeatures,
+    filter1: Filter1Model,
+    pca_basis: Optional[PcaBasis],
+) -> np.ndarray:
+    """Map encoded rows into a clustering feature space.
 
-    aux carries the mode-specific projection data: a PcaBasis for PCA, a
-    trained frequency-filter model for the bottleneck mode.
+    The manual subset picks its columns by name from the frequency
+    filter's recipe, PCA projects onto the fitted basis, and the
+    bottleneck space runs the frequency filter up to its narrowest layer.
     """
-    if mode is ClusteringFeatures.ALL:
-        return matrix
-    if mode is ClusteringFeatures.MANUAL_SUBSET:
-        positions = []
-        for name in MANUAL_SUBSET_COLUMNS:
-            try:
-                positions.append(matrix.columns.index(name))
-            except ValueError:
-                raise ConfigError(
-                    f"manual clustering subset needs column {name!r}, absent from the recipe"
-                ) from None
-        return FeatureMatrix(values=matrix.values[:, positions], columns=MANUAL_SUBSET_COLUMNS)
-    if mode is ClusteringFeatures.PCA:
-        if not isinstance(aux, PcaBasis):
+    if feature_space is ClusteringFeatures.ALL:
+        return x
+    if feature_space is ClusteringFeatures.MANUAL_SUBSET:
+        columns = filter1.recipe.columns
+        missing = [name for name in MANUAL_SUBSET_COLUMNS if name not in columns]
+        if missing:
+            raise ConfigError(
+                f"manual clustering subset needs column {missing[0]!r}, absent from the recipe"
+            )
+        return x[:, [columns.index(name) for name in MANUAL_SUBSET_COLUMNS]]
+    if feature_space is ClusteringFeatures.PCA:
+        if pca_basis is None:
             raise ConfigError("PCA projection requires a fitted PcaBasis")
-        projected = pca_project(aux, matrix.values)
-        return FeatureMatrix(
-            values=projected,
-            columns=tuple(f"pca_{i}" for i in range(projected.shape[1])),
-        )
-    if mode is ClusteringFeatures.AE_BOTTLENECK:
+        return pca_project(pca_basis, x)
+    if feature_space is ClusteringFeatures.AE_BOTTLENECK:
         from .autoencoder import bottleneck_activations  # local import, avoids a cycle
 
-        if aux is None:
-            raise ConfigError("bottleneck projection requires a trained frequency filter")
-        activations = bottleneck_activations(aux, matrix.values)
-        return FeatureMatrix(
-            values=activations,
-            columns=tuple(f"bottleneck_{i}" for i in range(activations.shape[1])),
-        )
-    raise ConfigError(f"unknown clustering feature mode: {mode!r}")
+        return bottleneck_activations(filter1, x)
+    raise ConfigError(f"unknown clustering feature mode: {feature_space!r}")

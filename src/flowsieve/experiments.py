@@ -182,7 +182,7 @@ def run_benchmark(
 
     recipe = encode.fit_recipe(list(training), config)
     train_matrix, val_matrix, test_matrix = (
-        encode.apply_recipe(list(flows), recipe) for flows in (training, validation, test)
+        encode.apply_recipe(list(flows), recipe).values for flows in (training, validation, test)
     )
     trained = train_encoded(recipe, train_matrix, val_matrix, config)
     verdicts = classify_matrix(trained, test_matrix)
@@ -190,17 +190,16 @@ def run_benchmark(
     notes = ["all reproduced detectors share the pipeline's feature encoding"]
     capped_train = {}
     for name, cap, tag in (("lof", BENCH_LOF_MAX_TRAIN, 1), ("kmeans", BENCH_KMEANS_MAX_TRAIN, 2)):
-        capped_train[name], capped = _capped(train_matrix.values, cap, config.rng_seed, tag)
+        capped_train[name], capped = _capped(train_matrix, cap, config.rng_seed, tag)
         if capped:
             notes.append(f"{name} fitted on a seeded sample of {cap} training rows")
 
-    x_test = test_matrix.values
     score_sets = {
         "two_step": verdict_scores(verdicts),
-        "autoencoder": baselines.score_ae_one_step(trained.filter1, x_test),
-        "kmeans": baselines.score_kmeans_one_step(capped_train["kmeans"], x_test, config),
-        "lof": baselines.score_lof(capped_train["lof"], x_test),
-        "isolation_forest": baselines.score_if(train_matrix.values, x_test, seed=config.rng_seed),
+        "autoencoder": baselines.score_ae_one_step(trained.filter1, test_matrix),
+        "kmeans": baselines.score_kmeans_one_step(capped_train["kmeans"], test_matrix, config),
+        "lof": baselines.score_lof(capped_train["lof"], test_matrix),
+        "isolation_forest": baselines.score_if(train_matrix, test_matrix, seed=config.rng_seed),
     }
     rows: dict[str, dict] = {}
     for name, scores in score_sets.items():

@@ -9,14 +9,14 @@ infrequent validation rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import autoencoder, clustering, encode
 from .clustering import Filter2Model
 from .config import ClusteringFeatures, PipelineConfig
-from .encode import EncodingRecipe, FeatureMatrix, PcaBasis
+from .encode import EncodingRecipe
 from .errors import DataError
 from .metrics import EvalReport, build_eval_report
 from .records import FlowRecord, verdict_table
@@ -45,34 +45,22 @@ class TrainedPipeline:
         return self.filter1.th_frequent
 
 
-def _clustering_space(
-    matrix: FeatureMatrix,
-    feature_space: ClusteringFeatures,
-    filter1: autoencoder.Filter1Model,
-    pca_basis: Optional[PcaBasis],
-) -> FeatureMatrix:
-    """Project an encoded matrix into a clustering feature space; PCA reads
-    the fitted basis and the bottleneck space the frequency filter."""
-    aux = {ClusteringFeatures.PCA: pca_basis, ClusteringFeatures.AE_BOTTLENECK: filter1}
-    return encode.project_features(matrix, feature_space, aux=aux.get(feature_space))
-
-
-def _infrequent_rows(filter1: autoencoder.Filter1Model, matrix: FeatureMatrix) -> FeatureMatrix:
-    mses = autoencoder.compute_mse(filter1, matrix)
-    return matrix.take(~autoencoder.classify_frequent_rows(mses, filter1.th_frequent))
+def _infrequent_rows(filter1: autoencoder.Filter1Model, x: np.ndarray) -> np.ndarray:
+    mses = autoencoder.compute_mse(filter1, x)
+    return x[~autoencoder.classify_frequent_rows(mses, filter1.th_frequent)]
 
 
 def _calibrate_filter2(
     filter1: autoencoder.Filter1Model,
     filter2: Filter2Model,
-    val_matrix: FeatureMatrix,
+    val_matrix: np.ndarray,
     pctl_known: float,
 ) -> Filter2Model:
     """Set the per-cluster thresholds on the infrequent validation rows."""
-    val_proj = _clustering_space(
+    val_proj = encode.project_features(
         _infrequent_rows(filter1, val_matrix), filter2.feature_space, filter1, filter2.pca_basis
     )
-    thresholds = clustering.set_cluster_thresholds(filter2, val_proj.values, pctl_known)
+    thresholds = clustering.set_cluster_thresholds(filter2, val_proj, pctl_known)
     return clustering.with_thresholds(filter2, thresholds)
 
 
@@ -82,21 +70,21 @@ def train_pipeline(
     config: PipelineConfig,
 ) -> TrainedPipeline:
     recipe = encode.fit_recipe(list(training_flows), config)
-    train_matrix = encode.apply_recipe(list(training_flows), recipe)
-    val_matrix = encode.apply_recipe(list(validation_flows), recipe)
+    train_matrix = encode.apply_recipe(list(training_flows), recipe).values
+    val_matrix = encode.apply_recipe(list(validation_flows), recipe).values
     return train_encoded(recipe, train_matrix, val_matrix, config)
 
 
 def train_encoded(
     recipe: EncodingRecipe,
-    train_matrix: FeatureMatrix,
-    val_matrix: FeatureMatrix,
+    train_matrix: np.ndarray,
+    val_matrix: np.ndarray,
     config: PipelineConfig,
 ) -> TrainedPipeline:
     """Train and calibrate both filters on partitions encoded by `recipe`."""
-    if train_matrix.n_rows == 0:
+    if len(train_matrix) == 0:
         raise DataError("empty training partition")
-    if val_matrix.n_rows == 0:
+    if len(val_matrix) == 0:
         raise DataError("empty validation partition")
 
     filter1 = autoencoder.train_filter1(train_matrix, val_matrix, config)
@@ -104,12 +92,12 @@ def train_encoded(
     filter1 = replace(filter1, recipe=recipe, th_frequent=th_frequent)
 
     infrequent_train = _infrequent_rows(filter1, train_matrix)
-    if infrequent_train.n_rows == 0:
+    if len(infrequent_train) == 0:
         raise DataError("no infrequent training rows below the configured percentile")
     features = config.clustering_features
     pca_basis = encode.fit_pca(infrequent_train) if features is ClusteringFeatures.PCA else None
-    train_proj = _clustering_space(infrequent_train, features, filter1, pca_basis)
-    filter2 = clustering.train_filter2(train_proj.values, config)
+    train_proj = encode.project_features(infrequent_train, features, filter1, pca_basis)
+    filter2 = clustering.train_filter2(train_proj, config)
     filter2.pca_basis = pca_basis
     filter2 = _calibrate_filter2(filter1, filter2, val_matrix, config.pctl_known)
     return TrainedPipeline(config=config, filter1=filter1, filter2=filter2)
@@ -118,7 +106,7 @@ def train_encoded(
 def recalibrate(pipeline: TrainedPipeline, validation_flows: Sequence[FlowRecord]) -> TrainedPipeline:
     """Recompute both thresholds on (new) validation flows."""
     config = pipeline.config
-    val_matrix = encode.apply_recipe(list(validation_flows), pipeline.recipe)
+    val_matrix = encode.apply_recipe(list(validation_flows), pipeline.recipe).values
     th_frequent = autoencoder.set_frequency_threshold(
         pipeline.filter1, val_matrix, config.pctl_frequent
     )
@@ -127,11 +115,11 @@ def recalibrate(pipeline: TrainedPipeline, validation_flows: Sequence[FlowRecord
     return TrainedPipeline(config, filter1, filter2)
 
 
-def classify_matrix(pipeline: TrainedPipeline, matrix: FeatureMatrix) -> np.recarray:
-    """The verdict table of the rows (see `records.verdict_table`), in row order."""
-    mses = autoencoder.compute_mse(pipeline.filter1, matrix)
+def classify_matrix(pipeline: TrainedPipeline, x: np.ndarray) -> np.recarray:
+    """The verdict table of encoded rows (see `records.verdict_table`), in row order."""
+    mses = autoencoder.compute_mse(pipeline.filter1, x)
     frequent = autoencoder.classify_frequent_rows(mses, pipeline.th_frequent)
-    n = matrix.n_rows
+    n = len(x)
     cluster_fields = {
         "assigned_cluster": np.full(n, -1),
         "distance": np.full(n, np.nan),
@@ -141,20 +129,17 @@ def classify_matrix(pipeline: TrainedPipeline, matrix: FeatureMatrix) -> np.reca
     infrequent_rows = np.flatnonzero(~frequent)
     if infrequent_rows.size:
         filter2 = pipeline.filter2
-        projected = _clustering_space(
-            matrix.take(infrequent_rows), filter2.feature_space, pipeline.filter1, filter2.pca_basis
+        projected = encode.project_features(
+            x[infrequent_rows], filter2.feature_space, pipeline.filter1, filter2.pca_basis
         )
-        scores = clustering.score_and_classify(
-            projected.values, filter2, pipeline.config.global_tanh_threshold
-        )
+        scores = clustering.score_and_classify(projected, filter2, pipeline.config.global_tanh_threshold)
         for name, column in cluster_fields.items():
             column[infrequent_rows] = scores[name]
     return verdict_table(mses, frequent, **cluster_fields)
 
 
 def classify_flows(pipeline: TrainedPipeline, flows: Sequence[FlowRecord]) -> np.recarray:
-    matrix = encode.apply_recipe(list(flows), pipeline.recipe)
-    return classify_matrix(pipeline, matrix)
+    return classify_matrix(pipeline, encode.apply_recipe(list(flows), pipeline.recipe).values)
 
 
 def evaluate_pipeline(

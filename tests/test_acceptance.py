@@ -290,8 +290,8 @@ def test_integration_benign_mse_generalization(real_runs):
     _, validation, test, runs = real_runs
     trained = runs[INTEGRATION_SEEDS[0]][0]
     benign_test = [f for f in test if not f.actual_label.is_attack]
-    val_mse = autoencoder.compute_mse(trained.filter1, encode.apply_recipe(validation, trained.recipe))
-    test_mse = autoencoder.compute_mse(trained.filter1, encode.apply_recipe(benign_test, trained.recipe))
+    val_mse = autoencoder.compute_mse(trained.filter1, encode.apply_recipe(validation, trained.recipe).values)
+    test_mse = autoencoder.compute_mse(trained.filter1, encode.apply_recipe(benign_test, trained.recipe).values)
     ratios = []
     for p in (25, 50, 75):
         val_q = nearest_rank_percentile(val_mse, p)

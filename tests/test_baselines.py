@@ -248,11 +248,11 @@ class TestAeOneStep:
         training, validation, test = synth_partitions
         config = PipelineConfig(epochs_max=3)
         recipe = encode.fit_recipe(training[:500], config)
-        train_m = encode.apply_recipe(training[:500], recipe)
-        val_m = encode.apply_recipe(validation[:200], recipe)
-        test_m = encode.apply_recipe(test[:150], recipe)
+        train_m = encode.apply_recipe(training[:500], recipe).values
+        val_m = encode.apply_recipe(validation[:200], recipe).values
+        test_m = encode.apply_recipe(test[:150], recipe).values
         model = autoencoder.train_filter1(train_m, val_m, config)
-        scores = baselines.score_ae_one_step(model, test_m.values)
+        scores = baselines.score_ae_one_step(model, test_m)
         assert scores.shape == (150,)
         assert np.isfinite(scores).all()
 

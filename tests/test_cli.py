@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import flowsieve
 from flowsieve import ingest, pipeline
 from flowsieve.autoencoder import Filter1Model
 from flowsieve.cli import main
@@ -171,6 +176,32 @@ class TestFromConfusion:
 class TestErrorPaths:
     def test_unknown_flag_is_usage_error(self):
         assert main(["synth", "--nope", "x"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ingest", "--input", "capture.csv", "--outdir", "data", "--split", "a,1,1"],
+            ["synth", "--out", "capture.csv", "--split", "1,x,1"],
+            ["synth", "--out", "capture.csv", "--split", "1,1"],
+            ["sweep", "--data", "data", "--out", "sweep.csv", "--sizes", "10,abc"],
+        ],
+        ids=["ingest-split-a11", "synth-split-1x1", "synth-split-11", "sweep-sizes-10abc"],
+    )
+    def test_malformed_split_or_sizes_is_usage_error(self, tmp_path, argv):
+        # in a process of its own, so a traceback would reach stderr
+        env = {**os.environ, "PYTHONPATH": str(Path(flowsieve.__file__).parent.parent)}
+        done = subprocess.run(
+            [sys.executable, "-m", "flowsieve.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("error:")
+        assert "Traceback" not in done.stderr
+        assert not any(tmp_path.iterdir())
+
+    def test_split_of_zero_days_is_data_error(self, workdir, tmp_path):
+        argv = ["ingest", "--input", str(workdir / "synthetic.csv"), "--outdir", str(tmp_path / "data")]
+        assert main(argv + ["--split", "0,1,1"]) == 2
 
     def test_missing_input_is_data_error(self, tmp_path):
         assert (

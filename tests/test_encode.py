@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from flowsieve import encode
+from flowsieve import autoencoder, encode
 from flowsieve.config import (
     ClusteringFeatures,
     IpTreatment,
@@ -202,7 +203,7 @@ class TestFitPca:
 
 
 class TestProjectFeatures:
-    def _matrix(self, n=12):
+    def _encoded(self, n=12):
         flows = [
             make_record(
                 octet_delta_count=100 + 13 * i,
@@ -215,32 +216,38 @@ class TestProjectFeatures:
             for i in range(n)
         ]
         recipe = encode.fit_recipe(flows, _config())
-        return encode.apply_recipe(flows, recipe)
+        filter1 = dataclasses.replace(autoencoder.build_ae(recipe.dimension, seed=0), recipe=recipe)
+        return encode.apply_recipe(flows, recipe).values, filter1
 
     def test_all_is_identity(self):
-        matrix = self._matrix()
-        assert encode.project_features(matrix, ClusteringFeatures.ALL) is matrix
+        x, filter1 = self._encoded()
+        assert encode.project_features(x, ClusteringFeatures.ALL, filter1, None) is x
 
     def test_manual_subset_columns_and_order(self):
-        projected = encode.project_features(self._matrix(), ClusteringFeatures.MANUAL_SUBSET)
-        assert projected.columns == (
+        x, filter1 = self._encoded()
+        projected = encode.project_features(x, ClusteringFeatures.MANUAL_SUBSET, filter1, None)
+        columns = filter1.recipe.columns
+        names = (
             "octet_delta_count",
             "avg_packet_size",
             "flow_duration_milliseconds",
             "same_dest_ip_count_pool",
             "same_dest_port_count_pool",
         )
-        assert projected.dimension == 5
+        assert projected.shape == (12, 5)
+        for i, name in enumerate(names):
+            assert np.array_equal(projected[:, i], x[:, columns.index(name)])
 
     def test_manual_subset_missing_column_errors(self):
-        matrix = self._matrix()
-        stripped = encode.FeatureMatrix(values=matrix.values[:, :4], columns=matrix.columns[:4])
+        x, filter1 = self._encoded()
+        stripped = dataclasses.replace(
+            filter1, recipe=dataclasses.replace(filter1.recipe, columns=filter1.recipe.columns[:4])
+        )
         with pytest.raises(ConfigError):
-            encode.project_features(stripped, ClusteringFeatures.MANUAL_SUBSET)
+            encode.project_features(x[:, :4], ClusteringFeatures.MANUAL_SUBSET, stripped, None)
 
     def test_pca_projection_dimension(self):
-        matrix = self._matrix()
-        basis = encode.fit_pca(matrix)
-        projected = encode.project_features(matrix, ClusteringFeatures.PCA, aux=basis)
-        assert projected.dimension == basis.retained
-        assert projected.n_rows == matrix.n_rows
+        x, filter1 = self._encoded()
+        basis = encode.fit_pca(x)
+        projected = encode.project_features(x, ClusteringFeatures.PCA, filter1, basis)
+        assert projected.shape == (x.shape[0], basis.retained)

@@ -144,7 +144,7 @@ class TestBenchmark:
         config = PipelineConfig(rng_seed=5, epochs_max=8, patience_max=8, k_max=4)
         trained = train_pipeline(training, validation, config)
         train_m, val_m, test_m = (
-            encode.apply_recipe(list(flows), trained.recipe) for flows in (training, validation, test)
+            encode.apply_recipe(list(flows), trained.recipe).values for flows in (training, validation, test)
         )
         separate = autoencoder.compute_mse(autoencoder.train_filter1(train_m, val_m, config), test_m)
         assert np.array_equal(separate, classify_flows(trained, test).mse)

@@ -22,7 +22,7 @@ def _with_tau(trained, tau):
 class TestTrainPipeline:
     def test_threshold_is_validation_percentile(self, trained, synth_partitions):
         _, validation, _ = synth_partitions
-        matrix = encode.apply_recipe(validation, trained.recipe)
+        matrix = encode.apply_recipe(validation, trained.recipe).values
         expected = autoencoder.set_frequency_threshold(
             trained.filter1, matrix, trained.config.pctl_frequent
         )
@@ -36,7 +36,7 @@ class TestTrainPipeline:
 
     def test_infrequent_share_matches_percentile(self, trained, synth_partitions):
         _, validation, _ = synth_partitions
-        matrix = encode.apply_recipe(validation, trained.recipe)
+        matrix = encode.apply_recipe(validation, trained.recipe).values
         mses = autoencoder.compute_mse(trained.filter1, matrix)
         frequent_share = float((mses < trained.th_frequent).mean())
         # nearest-rank 60th percentile: close to 0.6 up to ties
@@ -48,7 +48,7 @@ class TestClassify:
         *_, test = synth_partitions
         verdicts = pipeline.classify_flows(trained, test)
         assert len(verdicts) == len(test)
-        matrix = encode.apply_recipe(test, trained.recipe)
+        matrix = encode.apply_recipe(test, trained.recipe).values
         mses = autoencoder.compute_mse(trained.filter1, matrix)
         # row i of the table is the verdict on flow i
         for i, verdict in enumerate(verdicts):
@@ -179,14 +179,13 @@ class TestRecalibrate:
         # projection of the infrequent rows into the trained space.
         other = validation[600:1800]
         recal = pipeline.recalibrate(trained, other)
-        matrix = encode.apply_recipe(other, trained.recipe)
+        matrix = encode.apply_recipe(other, trained.recipe).values
         th = autoencoder.set_frequency_threshold(trained.filter1, matrix, config.pctl_frequent)
         assert recal.th_frequent == th
-        infrequent = matrix.take(autoencoder.compute_mse(trained.filter1, matrix) >= th)
-        aux = trained.filter2.pca_basis if features is ClusteringFeatures.PCA else trained.filter1
-        projected = encode.project_features(infrequent, features, aux=aux)
-        assert projected.dimension == trained.filter2.dimension
-        expected = clustering.set_cluster_thresholds(
-            trained.filter2, projected.values, config.pctl_known
+        infrequent = matrix[autoencoder.compute_mse(trained.filter1, matrix) >= th]
+        projected = encode.project_features(
+            infrequent, features, trained.filter1, trained.filter2.pca_basis
         )
+        assert projected.shape[1] == trained.filter2.dimension
+        expected = clustering.set_cluster_thresholds(trained.filter2, projected, config.pctl_known)
         assert recal.filter2.per_cluster_thresholds == expected

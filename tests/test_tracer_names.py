@@ -112,7 +112,7 @@ def test_classify_counts_follow_the_verdict_table(tracer_module):
     )
     config = PipelineConfig(epochs_max=3, patience_max=3, k_max=3)
     trained = pipeline.train_pipeline(parts.training, parts.validation, config)
-    matrix = encode.apply_recipe(parts.test, trained.recipe)
+    matrix = encode.apply_recipe(parts.test, trained.recipe).values
 
     tracer = tracer_module.Tracer()
     tracer.begin_session(0)
