@@ -43,6 +43,7 @@ def score_kmeans_one_step(train: np.ndarray, test: np.ndarray, config: PipelineC
 
 
 _KNN_CHUNK = 1024
+_SELECT_ROWS = 64
 
 
 def _knn_among_train(
@@ -51,11 +52,8 @@ def _knn_among_train(
     """k nearest training rows per query; ties break by training index.
 
     Queries are processed in chunks so the full pairwise matrix is never
-    materialized. Each row's k-th smallest distance is found by selection.
-    The row keeps every distance below it and, of the ties at it, the
-    lowest-indexed ones until it holds k; these k are sorted by (distance,
-    index). So the result equals the first k of a stable sort of the whole
-    row, at a cost that does not grow with the number of ties.
+    materialized: one chunk's distances exist at a time, and the selection
+    runs on a few of its rows at a time.
     """
     n_queries = queries.shape[0]
     order = np.empty((n_queries, k), dtype=int)
@@ -66,24 +64,34 @@ def _knn_among_train(
         if exclude_self:
             own = np.arange(start, stop)
             dists[own - start, own] = np.inf
-        kth = np.partition(dists, k - 1, axis=1)[:, k - 1, None]
-        if np.isnan(kth).any():
-            raise DataError("nearest-neighbor distances hold NaN")
-        keep = dists < kth
-        tied = dists == kth
-        # np.nonzero runs row by row in column order, so a tie's rank in its
-        # row is its position after the row's first tie.
-        tied_rows, tied_cols = np.nonzero(tied)
-        ties = np.count_nonzero(tied, axis=1)
-        tie_rank = np.arange(tied_rows.size) - np.repeat(np.cumsum(ties) - ties, ties)
-        taken = tie_rank < (k - np.count_nonzero(keep, axis=1))[tied_rows]
-        keep[tied_rows[taken], tied_cols[taken]] = True
-        rows, cols = np.nonzero(keep)
-        candidates = dists[rows, cols]
-        chosen = np.lexsort((cols, candidates, rows)).reshape(-1, k)
-        order[start:stop] = cols[chosen]
-        ordered_dists[start:stop] = candidates[chosen]
+        for sub in range(0, stop - start, _SELECT_ROWS):
+            rows = slice(start + sub, min(start + sub + _SELECT_ROWS, stop))
+            order[rows], ordered_dists[rows] = _k_smallest(dists[sub : sub + _SELECT_ROWS], k)
+        del dists  # before the next chunk's distances exist
     return order, ordered_dists
+
+
+def _k_smallest(dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column indices and values of each row's k smallest distances.
+
+    Each row's k-th smallest distance is found by selection. The row keeps
+    every distance below it and, of the ties at it, the lowest-indexed ones
+    until it holds k; these k are sorted by (distance, index). So the result
+    equals the first k of a stable sort of the whole row, at a cost that
+    does not grow with the number of ties.
+    """
+    kth = np.partition(dists, k - 1, axis=1)[:, [k - 1]]  # a copy, so the partitioned rows are freed
+    if np.isnan(kth).any():
+        raise DataError("nearest-neighbor distances hold NaN")
+    keep = dists < kth
+    tied = dists == kth
+    # a tie is kept while its rank among its row's ties, counted from the
+    # lowest column, is within the places the row has left
+    keep |= tied & (np.cumsum(tied, axis=1) <= (k - np.count_nonzero(keep, axis=1))[:, None])
+    rows, cols = np.nonzero(keep)
+    candidates = dists[rows, cols]
+    chosen = np.lexsort((cols, candidates, rows)).reshape(-1, k)
+    return cols[chosen], candidates[chosen]
 
 
 def score_lof(train: np.ndarray, test: np.ndarray, n_neighbors: int = LOF_DEFAULT_NEIGHBORS) -> np.ndarray:

@@ -163,8 +163,8 @@ def _split_days(text: str) -> tuple[int, int, int]:
         split = tuple(int(v) for v in text.split(","))
     except ValueError:
         split = ()
-    if len(split) != 3:
-        raise argparse.ArgumentTypeError(f"expected three comma-separated day counts, got {text!r}")
+    if len(split) != 3 or min(split) < 1:
+        raise argparse.ArgumentTypeError(f"expected three comma-separated positive day counts, got {text!r}")
     return split  # type: ignore[return-value]
 
 

@@ -177,6 +177,7 @@ def silhouette_means(matrix: np.ndarray, assignment_sets: Sequence[np.ndarray]) 
         dists = pairwise_dists(x[start:stop], x) if exact is None else exact[start:stop]
         for tally in tallies:
             tally.add_chunk(start, stop, dists)
+        del dists  # before the next chunk's distances exist
     return [tally.mean() for tally in tallies]
 
 

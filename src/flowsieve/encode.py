@@ -195,7 +195,9 @@ def apply_recipe(flows: list[FlowRecord], recipe: EncodingRecipe) -> FeatureMatr
         else:
             transformed = _numeric_column(column, kind, name, recipe.numeric_treatment)
             lo, hi = recipe.numeric_stats[name]
-            scaled = (transformed - lo) / (hi - lo) if hi > lo else np.zeros_like(transformed)
+            # A subnormal range overflows to inf for rows beyond it; the clip maps that to 1.
+            with np.errstate(over="ignore"):
+                scaled = (transformed - lo) / (hi - lo) if hi > lo else np.zeros_like(transformed)
             values[:, position] = np.clip(scaled, 0.0, 1.0)
         position += 1
     return FeatureMatrix(values=values, columns=recipe.columns)

@@ -51,6 +51,11 @@ def row_sq_norms(a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, a)
 
 
+# Cells of the (m, n) result finished per step in `pairwise_sq_dists`, so
+# its row-sum temporary stays small whatever the shape.
+_INPLACE_CELLS = 2**16
+
+
 def pairwise_sq_dists(
     a: np.ndarray, b: np.ndarray, a_sq_norms: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -58,13 +63,23 @@ def pairwise_sq_dists(
 
     `a_sq_norms`, when given, must be `row_sq_norms(a)`; callers that
     measure the same `a` against many `b` pass it to skip recomputing it.
+
+    The product a @ b.T is the only (m, n) array: (|a|^2 + |b|^2) - 2ab is
+    applied to it in place a few rows at a time, the same correctly
+    rounded operations on the same operands as the one-expression form.
     """
-    a2 = (row_sq_norms(a) if a_sq_norms is None else a_sq_norms)[:, None]
-    b2 = row_sq_norms(b)[None, :]
-    d2 = a2 + b2 - 2.0 * (a @ b.T)
+    a2 = row_sq_norms(a) if a_sq_norms is None else a_sq_norms
+    b2 = row_sq_norms(b)
+    d2 = a @ b.T
+    step = max(1, _INPLACE_CELLS // max(d2.shape[1], 1))
+    for start in range(0, d2.shape[0], step):
+        block = d2[start : start + step]
+        block *= 2.0
+        np.subtract(a2[start : start + step, None] + b2, block, out=block)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
 
 def pairwise_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.sqrt(pairwise_sq_dists(a, b))
+    dists = pairwise_sq_dists(a, b)
+    return np.sqrt(dists, out=dists)

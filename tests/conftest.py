@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
 from flowsieve import ingest
 from flowsieve.config import PipelineConfig
 from flowsieve.records import FlowRecord, LabelClass, PartitionTag
+from flowsieve.stats import row_sq_norms
 from flowsieve.synth import SynthConfig, generate
 
 
@@ -33,6 +35,16 @@ def make_record(**overrides) -> FlowRecord:
     )
     base.update(overrides)
     return FlowRecord(**base)
+
+
+def one_expression_sq_dists(a, b, a_sq_norms=None):
+    """`stats.pairwise_sq_dists` as one expression, with (m, n) temporaries
+    for the norm sum, the doubled product and the difference."""
+    a2 = (row_sq_norms(a) if a_sq_norms is None else a_sq_norms)[:, None]
+    b2 = row_sq_norms(b)[None, :]
+    d2 = a2 + b2 - 2.0 * (a @ b.T)
+    np.maximum(d2, 0.0, out=d2)
+    return d2
 
 
 @pytest.fixture(scope="session")

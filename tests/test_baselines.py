@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import dataclass
 from typing import Optional
 
@@ -11,6 +12,8 @@ from flowsieve import autoencoder, baselines, metrics
 from flowsieve.config import PipelineConfig
 from flowsieve.errors import DataError
 from flowsieve.stats import TAG_FOREST, pairwise_dists, seed_sequence
+
+from conftest import one_expression_sq_dists
 
 
 def brute_force_lof(train, test, k):
@@ -174,6 +177,49 @@ class TestNeighborSelectionOracle:
         want = full_sort_knn(queries, train, k, exclude_self)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
+
+
+def one_expression_knn(queries, train, k, exclude_self):
+    """`full_sort_knn` on distances from the one-expression kernel."""
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setitem(globals(), "pairwise_dists", lambda a, b: np.sqrt(one_expression_sq_dists(a, b)))
+        return full_sort_knn(queries, train, k, exclude_self)
+
+
+class TestLeanNeighborSearch:
+    def test_lone_last_rows_keep_their_neighbors_and_scores(self):
+        # 2049 training rows and 1025 queries leave a 1-row last chunk in
+        # both passes, whose product is a matrix-vector one
+        rng = np.random.default_rng(2049)
+        train = rng.normal(size=(2049, 25))
+        train[1024] = train[0]
+        queries = np.vstack([train[::5], rng.normal(size=(1025 - 410, 25))])
+        queries[-1] += 3.0  # far out, so its own distances set its reachabilities
+        for exclude_self, rows in ((True, train), (False, queries)):
+            got = baselines._knn_among_train(rows, train, 20, exclude_self)
+            want = one_expression_knn(rows, train, 20, exclude_self)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+        got = baselines.score_lof(train, queries)
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(baselines, "_knn_among_train", one_expression_knn)
+            want = baselines.score_lof(train, queries)
+        assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_about_one_distance_block(self):
+        rng = np.random.default_rng(0)
+        train = rng.normal(size=(1248, 25))
+        queries = rng.normal(size=(2101, 25))
+        block_bytes = baselines._KNN_CHUNK * 1248 * 8
+        tracemalloc.start()
+        try:
+            baselines._knn_among_train(queries, train, 20, exclude_self=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # with the kernel's temporaries and the previous block alive the
+        # peak was about four blocks
+        assert peak < 1.5 * block_bytes
 
 
 class TestIsolationForest:

@@ -199,9 +199,13 @@ class TestErrorPaths:
         assert "Traceback" not in done.stderr
         assert not any(tmp_path.iterdir())
 
-    def test_split_of_zero_days_is_data_error(self, workdir, tmp_path):
+    def test_split_of_zero_days_is_usage_error(self, workdir, tmp_path, capsys):
         argv = ["ingest", "--input", str(workdir / "synthetic.csv"), "--outdir", str(tmp_path / "data")]
-        assert main(argv + ["--split", "0,1,1"]) == 2
+        assert main(argv + ["--split", "0,1,1"]) == 1
+        assert capsys.readouterr().err.startswith("error: argument --split: ")
+        assert main(["synth", "--out", str(tmp_path / "capture.csv"), "--split", "1,-1,1"]) == 1
+        assert capsys.readouterr().err.startswith("error: argument --split: ")
+        assert not any(tmp_path.iterdir())
 
     def test_missing_input_is_data_error(self, tmp_path):
         assert (

@@ -119,7 +119,8 @@ def reference_apply_recipe(flows, recipe) -> np.ndarray:
         elif kind == "numeric":
             transformed = _reference_numeric(flows, name, recipe.numeric_treatment)
             lo, hi = recipe.numeric_stats[name]
-            scaled = (transformed - lo) / (hi - lo) if hi > lo else np.zeros_like(transformed)
+            with np.errstate(over="ignore"):  # a subnormal range overflows; the clip maps inf to 1
+                scaled = (transformed - lo) / (hi - lo) if hi > lo else np.zeros_like(transformed)
             values[:, position] = np.clip(scaled, 0.0, 1.0)
             position += 1
         else:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,19 @@ class TestApplyRecipe:
         ten_x = make_record(octet_delta_count=2000, packet_delta_count=1, avg_packet_size=2000.0)
         matrix = encode.apply_recipe([ten_x], recipe)
         assert matrix.values[0, matrix.columns.index("octet_delta_count")] == 1.0
+
+    def test_subnormal_range_clips_without_overflow_warning(self):
+        # hi - lo = 5e-324: a row above the range overflows to inf in the
+        # scaling, which the clip maps to 1.0 like a row at the maximum
+        train = [make_record(dns_host_pct_numerical_chars=0.0), make_record(dns_host_pct_numerical_chars=5e-324)]
+        recipe = encode.fit_recipe(train, _config(numeric_treatment=NumericTreatment.AS_IS))
+        above = train + [make_record(dns_host_pct_numerical_chars=50.0)]
+        at_max = train + [make_record(dns_host_pct_numerical_chars=5e-324)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            matrix = encode.apply_recipe(above, recipe)
+        assert matrix.values[:, matrix.columns.index("dns_host_pct_numerical_chars")].tolist() == [0.0, 1.0, 1.0]
+        assert matrix.values.tobytes() == encode.apply_recipe(at_max, recipe).values.tobytes()
 
     def test_tcp_bits_become_binary_columns(self):
         train = [make_record(tcp_control_bits=0b010001)]  # SYN|RST
