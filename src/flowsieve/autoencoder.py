@@ -190,50 +190,28 @@ def loss_and_gradients(
     if not math.isfinite(loss):
         raise NumericError("non-finite loss")
 
-    grad_w = [np.empty_like(w) for w in model.weights]
-    grad_b = [np.empty_like(b) for b in model.biases]
-
     # d loss / d output, then sigmoid derivative at the output layer.
     delta = (2.0 / (batch * d)) * (output - x)
     delta = delta * output * (1.0 - output)
+    grad_w, grad_b = [], []
     for layer in range(len(model.weights) - 1, -1, -1):
-        h_prev = activations[layer]
-        grad_w[layer] = h_prev.T @ delta
-        grad_b[layer] = delta.sum(axis=0)
+        grad_w.append(activations[layer].T @ delta)
+        grad_b.append(delta.sum(axis=0))
         if layer > 0:
             delta = delta @ model.weights[layer].T
             delta = delta * (activations[layer] > 0.0)
-    return loss, grad_w, grad_b
+    return loss, grad_w[::-1], grad_b[::-1]
 
 
-@dataclass
-class TrainState:
-    """Adam's step count and moment estimates, threaded through training."""
-
-    step: int = 0
-    first_moments: list[np.ndarray] = field(default_factory=list)
-    second_moments: list[np.ndarray] = field(default_factory=list)
-    first_moments_b: list[np.ndarray] = field(default_factory=list)
-    second_moments_b: list[np.ndarray] = field(default_factory=list)
-
-
-def _adam_update(model: Filter1Model, state: TrainState, grad_w, grad_b) -> None:
-    state.step += 1
-    t = state.step
-    correction1 = 1.0 - ADAM_BETA1**t
-    correction2 = 1.0 - ADAM_BETA2**t
-    for params, grads, m_list, v_list in (
-        (model.weights, grad_w, state.first_moments, state.second_moments),
-        (model.biases, grad_b, state.first_moments_b, state.second_moments_b),
-    ):
-        for p, g, m, v in zip(params, grads, m_list, v_list):
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * (g * g)
-            m_hat = m / correction1
-            v_hat = v / correction2
-            p -= ADAM_STEP_SIZE * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+def _flatten_parameters(model: Filter1Model) -> np.ndarray:
+    """Copy the weights and biases into one vector, in that order, and
+    rebind the model's arrays to views of it."""
+    arrays = [*model.weights, *model.biases]
+    params = np.concatenate(arrays, axis=None)
+    ends = np.cumsum([a.size for a in arrays])
+    views = [params[end - a.size : end].reshape(a.shape) for a, end in zip(arrays, ends)]
+    model.weights, model.biases = views[: len(model.weights)], views[len(model.weights) :]
+    return params
 
 
 def train_filter1(training: np.ndarray, validation: np.ndarray, config: PipelineConfig) -> Filter1Model:
@@ -242,7 +220,8 @@ def train_filter1(training: np.ndarray, validation: np.ndarray, config: Pipeline
     Stops at epochs_max, or once the epoch-over-epoch improvement of the
     validation MSE has stayed below delta_min for patience_max consecutive
     epochs. Improvement tracking starts at the second epoch, when a
-    previous validation MSE exists.
+    previous validation MSE exists. Adam's update is elementwise, so it
+    runs once per batch over all parameters as one vector.
     """
     if training.ndim != 2 or training.shape[0] == 0:
         raise DataError("training matrix must be a non-empty 2-D array")
@@ -250,12 +229,10 @@ def train_filter1(training: np.ndarray, validation: np.ndarray, config: Pipeline
         raise DataError("training and validation matrices must share their dimension")
 
     model = build_ae(training.shape[1], seed=config.rng_seed)
-    state = TrainState(
-        first_moments=[np.zeros_like(w) for w in model.weights],
-        second_moments=[np.zeros_like(w) for w in model.weights],
-        first_moments_b=[np.zeros_like(b) for b in model.biases],
-        second_moments_b=[np.zeros_like(b) for b in model.biases],
-    )
+    params = _flatten_parameters(model)
+    first_moment = np.zeros_like(params)
+    second_moment = np.zeros_like(params)
+    step = 0
     shuffle_rng = derive_rng(config.rng_seed, TAG_AE_SHUFFLE)
     n = training.shape[0]
     history: list[float] = []
@@ -269,7 +246,17 @@ def train_filter1(training: np.ndarray, validation: np.ndarray, config: Pipeline
                 _, grad_w, grad_b = loss_and_gradients(model, batch)
             except NumericError:
                 raise NumericError(f"training diverged at epoch {epoch}") from None
-            _adam_update(model, state, grad_w, grad_b)
+            grad = np.concatenate([*grad_w, *grad_b], axis=None)
+            step += 1
+            first_moment *= ADAM_BETA1
+            first_moment += (1.0 - ADAM_BETA1) * grad
+            second_moment *= ADAM_BETA2
+            second_moment += (1.0 - ADAM_BETA2) * (grad * grad)
+            params -= (
+                ADAM_STEP_SIZE
+                * (first_moment / (1.0 - ADAM_BETA1**step))
+                / (np.sqrt(second_moment / (1.0 - ADAM_BETA2**step)) + ADAM_EPSILON)
+            )
         validation_mse = float(np.mean(compute_mse(model, validation)))
         if not math.isfinite(validation_mse):
             raise NumericError(f"training diverged at epoch {epoch}")

@@ -58,37 +58,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-class _StagedWriter:
-    """Write every output to <name>.tmp, rename all on success.
+def _write_outputs(files: dict[Path, str]) -> None:
+    """Write every text to <name>.tmp, then rename each over its target.
 
-    Used as a context manager: leaving the block without commit() (e.g.
-    on an exception) removes every staged file.
+    On a failure the staged files written so far are removed, existing
+    outputs keep their bytes, and the error propagates.
     """
-
-    def __init__(self) -> None:
-        self.staged: list[tuple[Path, Path]] = []
-
-    def __enter__(self) -> "_StagedWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.abort()
-
-    def write_text(self, path: Path, text: str) -> None:
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(text, encoding="utf-8")
-        self.staged.append((tmp, path))
-
-    def commit(self) -> None:
-        for tmp, final in self.staged:
-            os.replace(tmp, final)
-        self.staged.clear()
-
-    def abort(self) -> None:
-        for tmp, _ in self.staged:
+    staged: list[Path] = []
+    try:
+        for path, text in files.items():
+            tmp = path.with_name(path.name + ".tmp")
+            tmp.parent.mkdir(parents=True, exist_ok=True)
+            with open(tmp, "w", encoding="utf-8") as stream:
+                staged.append(tmp)
+                stream.write(text)
+        for tmp, path in zip(staged, files):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in staged:
             tmp.unlink(missing_ok=True)
-        self.staged.clear()
+        raise
 
 
 def _build_config(args) -> PipelineConfig:
@@ -187,9 +176,7 @@ def _cmd_synth(args) -> int:
         seed=args.seed if args.seed is not None else DEFAULT_SEED,
     )
     flows = generate(config)
-    with _StagedWriter() as writer:
-        writer.write_text(Path(args.out), _dataset_text(flows))
-        writer.commit()
+    _write_outputs({Path(args.out): _dataset_text(flows)})
     print(f"wrote {len(flows)} synthetic flows to {args.out}")
     return 0
 
@@ -221,9 +208,7 @@ def _cmd_ingest(args) -> int:
 
     report = {
         "schema_version": 1,
-        "rows_read": parse_report.rows_read,
-        "rows_rejected": parse_report.rows_rejected,
-        "reject_reasons": dict(sorted(parse_report.reject_reasons.items())),
+        **parse_report.to_dict(),
         "rows_dropped_by_reason": {
             **cleanse_report.to_dict()["rows_dropped_by_reason"],
             **partitions.to_dict()["rows_dropped_by_reason"],
@@ -239,12 +224,14 @@ def _cmd_ingest(args) -> int:
         "notes": cleanse_report.notes,
     }
     outdir = Path(args.outdir)
-    with _StagedWriter() as writer:
-        writer.write_text(outdir / TRAINING_CSV, _dataset_text(training))
-        writer.write_text(outdir / VALIDATION_CSV, _dataset_text(partitions.validation))
-        writer.write_text(outdir / TEST_CSV, _dataset_text(partitions.test))
-        writer.write_text(outdir / CLEANSING_REPORT, json.dumps(report, indent=2, sort_keys=True) + "\n")
-        writer.commit()
+    _write_outputs(
+        {
+            outdir / TRAINING_CSV: _dataset_text(training),
+            outdir / VALIDATION_CSV: _dataset_text(partitions.validation),
+            outdir / TEST_CSV: _dataset_text(partitions.test),
+            outdir / CLEANSING_REPORT: json.dumps(report, indent=2, sort_keys=True) + "\n",
+        }
+    )
     print(
         f"ingested {parse_report.rows_read} rows -> "
         f"{len(training)}/{len(partitions.validation)}/{len(partitions.test)} "
@@ -267,21 +254,21 @@ def _cmd_train(args) -> int:
 
 
 def _write_models(models_dir: Path, trained: pipeline.TrainedPipeline) -> None:
-    with _StagedWriter() as writer:
-        writer.write_text(models_dir / FILTER1_FILE, trained.filter1.to_json())
-        writer.write_text(models_dir / FILTER2_FILE, trained.filter2.to_json())
-        writer.commit()
+    _write_outputs(
+        {
+            models_dir / FILTER1_FILE: trained.filter1.to_json(),
+            models_dir / FILTER2_FILE: trained.filter2.to_json(),
+        }
+    )
 
 
-def _load_models(models_dir: Path) -> tuple[Filter1Model, Filter2Model]:
+def _load_pipeline(models_dir: Path, config: PipelineConfig) -> pipeline.TrainedPipeline:
+    """The calibrated pipeline saved under models_dir, run with config."""
     f1_path = models_dir / FILTER1_FILE
     f2_path = models_dir / FILTER2_FILE
     if not f1_path.exists() or not f2_path.exists():
         raise DataError(f"missing model files under {models_dir}")
-    return Filter1Model.load(f1_path), Filter2Model.load(f2_path)
-
-
-def _pipeline_from_models(config: PipelineConfig, filter1: Filter1Model, filter2: Filter2Model):
+    filter1, filter2 = Filter1Model.load(f1_path), Filter2Model.load(f2_path)
     if filter1.recipe is None:
         raise SchemaError("frequency-filter artifact lacks its encoding recipe")
     if filter1.th_frequent is None:
@@ -291,9 +278,8 @@ def _pipeline_from_models(config: PipelineConfig, filter1: Filter1Model, filter2
 
 def _cmd_calibrate(args) -> int:
     config = _build_config(args)
-    filter1, filter2 = _load_models(Path(args.models))
+    trained = _load_pipeline(Path(args.models), config)
     validation = _read_partition(Path(args.data) / VALIDATION_CSV)
-    trained = _pipeline_from_models(config, filter1, filter2)
     recalibrated = pipeline.recalibrate(trained, validation)
     _write_models(Path(args.models), recalibrated)
     thresholds = recalibrated.filter2.per_cluster_thresholds or []
@@ -329,8 +315,7 @@ VERDICT_HEADER = [
 
 def _cmd_detect(args) -> int:
     config = _detect_config(args, _build_config(args))
-    filter1, filter2 = _load_models(Path(args.models))
-    trained = _pipeline_from_models(config, filter1, filter2)
+    trained = _load_pipeline(Path(args.models), config)
     records = _read_partition(Path(args.input))
     if not records:
         raise DataError("no parseable rows in input")
@@ -353,9 +338,7 @@ def _cmd_detect(args) -> int:
         [label[cell] for cell in table.malicious.tolist()],
         [record.actual_label.value for record in records],
     ]
-    with _StagedWriter() as writer:
-        writer.write_text(Path(args.out), _csv_text([VERDICT_HEADER, *zip(*columns)]))
-        writer.commit()
+    _write_outputs({Path(args.out): _csv_text([VERDICT_HEADER, *zip(*columns)])})
     print(f"classified {len(table)} flows, {int(table.malicious.sum())} malicious")
     return 0
 
@@ -459,6 +442,8 @@ def _read_verdict_csv(path: Path):
 
 
 def _cmd_eval(args) -> int:
+    if args.out and args.pr_curve and Path(args.out).resolve() == Path(args.pr_curve).resolve():
+        raise UsageError(f"eval --out and --pr-curve name the same file: {args.out}")
     config = _build_config(args)
     if args.from_confusion:
         outcome = _parse_confusion_tokens(args.from_confusion)
@@ -475,9 +460,7 @@ def _cmd_eval(args) -> int:
         }
         text = json.dumps(payload, indent=2, sort_keys=True)
         if args.out:
-            with _StagedWriter() as writer:
-                writer.write_text(Path(args.out), text + "\n")
-                writer.commit()
+            _write_outputs({Path(args.out): text + "\n"})
         print(text)
         return 0
     if not args.verdicts:
@@ -492,18 +475,17 @@ def _cmd_eval(args) -> int:
         config_snapshot=config.to_dict(),
         thresholds={"source": "verdict csv"},
     )
-    with _StagedWriter() as writer:
-        writer.write_text(Path(args.out), report.to_json())
-        if args.pr_curve:
-            scores = verdict_scores(table)
-            rows = [["scenario", "threshold", "precision", "recall"]]
-            for scenario in ATTACK_CLASSES:
-                if not any(label is scenario for label in labels):
-                    continue
-                for threshold, precision, recall in pr_curve(scores, labels, scenario):
-                    rows.append([scenario.value, repr(threshold), repr(precision), repr(recall)])
-            writer.write_text(Path(args.pr_curve), _csv_text(rows))
-        writer.commit()
+    outputs = {Path(args.out): report.to_json()}
+    if args.pr_curve:
+        scores = verdict_scores(table)
+        rows = [["scenario", "threshold", "precision", "recall"]]
+        for scenario in ATTACK_CLASSES:
+            if not any(label is scenario for label in labels):
+                continue
+            for threshold, precision, recall in pr_curve(scores, labels, scenario):
+                rows.append([scenario.value, repr(threshold), repr(precision), repr(recall)])
+        outputs[Path(args.pr_curve)] = _csv_text(rows)
+    _write_outputs(outputs)
     print(json.dumps(report.to_dict()["macro"], sort_keys=True))
     return 0
 
@@ -512,9 +494,7 @@ def _cmd_bench(args) -> int:
     config = _build_config(args)
     training, validation, test = (_read_partition(Path(args.data) / name) for name in PARTITION_CSVS)
     report = run_benchmark(training, validation, test, config)
-    with _StagedWriter() as writer:
-        writer.write_text(Path(args.out), report.to_json())
-        writer.commit()
+    _write_outputs({Path(args.out): report.to_json()})
     macro = {name: row.get("macro") for name, row in report.rows.items()}
     print(json.dumps(macro, sort_keys=True))
     return 0
@@ -529,9 +509,7 @@ def _cmd_grid(args) -> int:
         "results": [result.to_dict() for result in results],
         "best": results[0].to_dict() if results else None,
     }
-    with _StagedWriter() as writer:
-        writer.write_text(Path(args.out), json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        writer.commit()
+    _write_outputs({Path(args.out): json.dumps(payload, indent=2, sort_keys=True) + "\n"})
     best = results[0] if results else None
     if best is not None and best.report is not None:
         print(f"best macro-AUPRC {best.macro_auprc:.3f} with {best.config.to_dict()}")
@@ -553,9 +531,7 @@ def _cmd_sweep(args) -> int:
                 point.error or "",
             ]
         )
-    with _StagedWriter() as writer:
-        writer.write_text(Path(args.out), _csv_text(rows))
-        writer.commit()
+    _write_outputs({Path(args.out): _csv_text(rows)})
     print(f"swept {len(points)} sizes")
     return 0
 

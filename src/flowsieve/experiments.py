@@ -101,15 +101,6 @@ class SweepPoint:
     macro_f1: Optional[float] = None
     error: Optional[str] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_f1": self.macro_f1,
-            "error": self.error,
-        }
-
 
 def sensitivity_sweep(
     training: Sequence[FlowRecord],

@@ -20,6 +20,7 @@ from .config import IpTreatment, NumericTreatment, PipelineConfig
 from .encode import apply_recipe, fit_recipe
 from .errors import ConfigError, DataError
 from .records import (
+    LAB_DEVICE_ID,
     MS_PER_DAY,
     MS_PER_HOUR,
     FlowRecord,
@@ -32,7 +33,6 @@ from .stats import TAG_SYNTH, derive_rng, nearest_rank_percentile, pairwise_dist
 # over the home networks plus one lab device in the highest-numbered
 # network, where the attack behaviors are confined.
 N_HOME_DEVICES = 7
-LAB_DEVICE_ID = 7
 
 
 class BehaviorKind(Enum):

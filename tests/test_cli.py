@@ -10,7 +10,7 @@ import pytest
 import flowsieve
 from flowsieve import ingest, pipeline
 from flowsieve.autoencoder import Filter1Model
-from flowsieve.cli import main
+from flowsieve.cli import _write_outputs, main
 from flowsieve.clustering import Filter2Model
 from flowsieve.config import PipelineConfig
 from flowsieve.metrics import build_eval_report, pr_curve, verdict_scores
@@ -583,3 +583,37 @@ class TestConfigFile:
         )
         payload = json.loads((out / "filter2.json").read_text())
         assert payload["distance_mode"] == "normalized_euclidean"
+
+
+class TestStagedOutputs:
+    def test_failed_write_leaves_no_staged_file_and_keeps_existing_output(self, tmp_path):
+        kept = tmp_path / "report.json"
+        kept.write_text("earlier run\n")
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file, not a directory\n")
+        files = {kept: "new report\n", blocker / "pr.csv": "scenario\n"}
+        # the error is the failed mkdir, not one raised while cleaning up
+        with pytest.raises(FileExistsError):
+            _write_outputs(files)
+        assert kept.read_text() == "earlier run\n"
+        assert blocker.read_text() == "a regular file, not a directory\n"
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("alias", ["same", "sub/../same"])
+    def test_eval_refuses_one_file_for_report_and_pr_curve(self, tmp_path, capsys, alias):
+        (tmp_path / "sub").mkdir()
+        out = tmp_path / "same"
+        out.write_text("earlier report\n")
+        code = main(
+            [
+                "eval",
+                "--verdicts", str(tmp_path / "no-such-verdicts.csv"),
+                "--out", str(out),
+                "--pr-curve", str(tmp_path / alias),
+            ]
+        )
+        assert code == 1
+        error = capsys.readouterr().err
+        assert "--out" in error and "--pr-curve" in error
+        assert out.read_text() == "earlier report\n"
+        assert not list(tmp_path.rglob("*.tmp"))
