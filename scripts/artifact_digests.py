@@ -1,0 +1,91 @@
+"""Digest every artifact and every stdout of the synthetic CLI chain.
+
+    python scripts/artifact_digests.py [--src DIR] --seed N --split A,B,C
+
+runs, in a temporary directory and with one BLAS thread,
+
+    synth -> ingest -> train -> detect (global-tanh and per-cluster)
+    -> eval --pr-curve of each -> eval --from-confusion (with a 0/0 case)
+    -> bench -> grid (epochs_max=2 patience_max=2 k_max=3)
+    -> sweep --sizes 200,600
+
+with the package under DIR/src (default: this checkout), and prints
+"<sha256>  <path>" for every file the chain wrote and for the stdout of
+every step. Two checkouts that write the same bytes print the same lines,
+so `diff` of two outputs checks a change against its parent, or a rerun
+against itself.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+CHAIN = [
+    ("synth", ["synth", "--split", "{split}", "--seed", "{seed}", "--out", "capture.csv"]),
+    ("ingest", ["ingest", "--input", "capture.csv", "--outdir", "data", "--split", "{split}"]),
+    ("train", ["train", "--data", "data", "--outdir", "models"]),
+    ("detect-global", ["detect", "--models", "models", "--input", "data/test.csv", "--out", "global.csv"]),
+    (
+        "detect-per-cluster",
+        ["detect", "--models", "models", "--input", "data/test.csv", "--out", "cluster.csv",
+         "--mode", "per-cluster"],
+    ),
+    ("eval-global", ["eval", "--verdicts", "global.csv", "--out", "global.json", "--pr-curve", "global-pr.csv"]),
+    (
+        "eval-per-cluster",
+        ["eval", "--verdicts", "cluster.csv", "--out", "cluster.json", "--pr-curve", "cluster-pr.csv"],
+    ),
+    (
+        "confusion",
+        ["eval", "--from-confusion", "tp=3032", "fn=48", "fp=315", "tn=22157", "--out", "confusion.json"],
+    ),
+    (
+        "confusion-undefined",
+        ["eval", "--from-confusion", "tp=0", "fn=0", "fp=0", "tn=5", "--out", "confusion-undefined.json"],
+    ),
+    ("bench", ["bench", "--data", "data", "--out", "bench.json"]),
+    (
+        "grid",
+        ["grid", "--data", "data", "--out", "grid.json",
+         "--set", "epochs_max=2", "--set", "patience_max=2", "--set", "k_max=3"],
+    ),
+    ("sweep", ["sweep", "--data", "data", "--sizes", "200,600", "--out", "sweep.csv"]),
+]
+
+
+def run_chain(src: Path, seed: int, split: str, workdir: Path) -> None:
+    """Run every step in workdir; each step's stdout goes to stdout/<step>."""
+    env = {**os.environ, "PYTHONPATH": str(src / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    (workdir / "stdout").mkdir()
+    for step, argv in CHAIN:
+        argv = [arg.format(seed=seed, split=split) for arg in argv]
+        done = subprocess.run(
+            [sys.executable, "-m", "flowsieve.cli", *argv], cwd=workdir, env=env, capture_output=True
+        )
+        if done.returncode != 0:
+            sys.exit(f"{step} exited {done.returncode}: {done.stderr.decode(errors='replace')}")
+        (workdir / "stdout" / step).write_bytes(done.stdout)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent,
+                        help="checkout whose src/ holds the package (default: this one)")
+    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--split", default="1,1,1", help="training,validation,test days")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory(prefix="artifact-digests-") as tmp:
+        workdir = Path(tmp)
+        run_chain(args.src.resolve(), args.seed, args.split, workdir)
+        for path in sorted(p for p in workdir.rglob("*") if p.is_file()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.relative_to(workdir).as_posix()}")
+
+
+if __name__ == "__main__":
+    main()

@@ -7,9 +7,7 @@ recorded in the benchmark report.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -205,15 +203,3 @@ OCSVM_REFERENCE_ROW = {
     "macro": 0.507,
     "note": "reference values from a prior published evaluation; not reproduced by this package",
 }
-
-
-@dataclass
-class BenchmarkReport:
-    rows: dict[str, dict]
-    notes: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {"schema_version": 1, "rows": self.rows, "notes": list(self.notes)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"

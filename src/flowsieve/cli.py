@@ -1,11 +1,11 @@
 """Operator command line: ingest, train, calibrate, detect, eval, bench,
 grid, sweep and synth.
 
-Exit codes: 0 success, 1 usage/configuration, 2 data or schema problem,
-3 numeric failure. Output files are staged with a .tmp suffix and renamed
-only after every write succeeded, so partial outputs are never left in
-place. Artifacts contain no timestamps; reruns with the same seed and
-inputs are byte-identical.
+Exit codes: 0 success, 1 usage/configuration, 2 data, schema or
+file-system problem, 3 numeric failure. Output files are staged with a
+.tmp suffix and renamed only after every write succeeded, so partial
+outputs are never left in place. Artifacts contain no timestamps; reruns
+with the same seed and inputs are byte-identical.
 """
 from __future__ import annotations
 
@@ -26,8 +26,15 @@ from .clustering import Filter2Model
 from .config import PipelineConfig, load_config_file
 from .errors import ConfigError, DataError, FlowSieveError, NumericError, SchemaError
 from .experiments import run_benchmark, run_grid, sensitivity_sweep
-from .metrics import ScenarioOutcome, build_eval_report, pr_curve, scenario_metrics, verdict_scores
-from .records import ATTACK_CLASSES, FinalLabel, FlowRecord, LabelClass, verdict_table
+from .metrics import (
+    ScenarioOutcome,
+    build_eval_report,
+    pr_curve,
+    present_scenarios,
+    scenario_metrics,
+    verdict_scores,
+)
+from .records import FinalLabel, FlowRecord, LabelClass, verdict_table
 from .synth import SynthConfig, generate
 
 DEFAULT_SEED = 42
@@ -80,10 +87,15 @@ def _write_outputs(files: dict[Path, str]) -> None:
         raise
 
 
+def _json_text(payload) -> str:
+    """A JSON report as written: indented, keys sorted, one final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _build_config(args) -> PipelineConfig:
     config = PipelineConfig()
     if getattr(args, "config", None):
-        config = load_config_file(args.config, base=config)
+        config = load_config_file(args.config)
     updates = {}
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
@@ -229,7 +241,7 @@ def _cmd_ingest(args) -> int:
             outdir / TRAINING_CSV: _dataset_text(training),
             outdir / VALIDATION_CSV: _dataset_text(partitions.validation),
             outdir / TEST_CSV: _dataset_text(partitions.test),
-            outdir / CLEANSING_REPORT: json.dumps(report, indent=2, sort_keys=True) + "\n",
+            outdir / CLEANSING_REPORT: _json_text(report),
         }
     )
     print(
@@ -446,22 +458,10 @@ def _cmd_eval(args) -> int:
         raise UsageError(f"eval --out and --pr-curve name the same file: {args.out}")
     config = _build_config(args)
     if args.from_confusion:
-        outcome = _parse_confusion_tokens(args.from_confusion)
-        metrics = scenario_metrics(outcome)
-        payload = {
-            "tp": outcome.tp,
-            "fp": outcome.fp,
-            "tn": outcome.tn,
-            "fn": outcome.fn,
-            "fpr": metrics.fpr,
-            "precision": metrics.precision,
-            "recall": metrics.recall,
-            "f1": metrics.f1,
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True)
+        text = _json_text(scenario_metrics(_parse_confusion_tokens(args.from_confusion)))
         if args.out:
-            _write_outputs({Path(args.out): text + "\n"})
-        print(text)
+            _write_outputs({Path(args.out): text})
+        print(text, end="")
         return 0
     if not args.verdicts:
         raise UsageError("eval needs --verdicts or --from-confusion")
@@ -475,18 +475,16 @@ def _cmd_eval(args) -> int:
         config_snapshot=config.to_dict(),
         thresholds={"source": "verdict csv"},
     )
-    outputs = {Path(args.out): report.to_json()}
+    outputs = {Path(args.out): _json_text(report)}
     if args.pr_curve:
         scores = verdict_scores(table)
         rows = [["scenario", "threshold", "precision", "recall"]]
-        for scenario in ATTACK_CLASSES:
-            if not any(label is scenario for label in labels):
-                continue
+        for scenario in present_scenarios(labels):
             for threshold, precision, recall in pr_curve(scores, labels, scenario):
                 rows.append([scenario.value, repr(threshold), repr(precision), repr(recall)])
         outputs[Path(args.pr_curve)] = _csv_text(rows)
     _write_outputs(outputs)
-    print(json.dumps(report.to_dict()["macro"], sort_keys=True))
+    print(json.dumps(report["macro"], sort_keys=True))
     return 0
 
 
@@ -494,8 +492,8 @@ def _cmd_bench(args) -> int:
     config = _build_config(args)
     training, validation, test = (_read_partition(Path(args.data) / name) for name in PARTITION_CSVS)
     report = run_benchmark(training, validation, test, config)
-    _write_outputs({Path(args.out): report.to_json()})
-    macro = {name: row.get("macro") for name, row in report.rows.items()}
+    _write_outputs({Path(args.out): _json_text(report)})
+    macro = {name: row.get("macro") for name, row in report["rows"].items()}
     print(json.dumps(macro, sort_keys=True))
     return 0
 
@@ -509,7 +507,7 @@ def _cmd_grid(args) -> int:
         "results": [result.to_dict() for result in results],
         "best": results[0].to_dict() if results else None,
     }
-    _write_outputs({Path(args.out): json.dumps(payload, indent=2, sort_keys=True) + "\n"})
+    _write_outputs({Path(args.out): _json_text(payload)})
     best = results[0] if results else None
     if best is not None and best.report is not None:
         print(f"best macro-AUPRC {best.macro_auprc:.3f} with {best.config.to_dict()}")
@@ -632,6 +630,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc.filename}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a file-system failure other than a missing file
+        where = "" if exc.filename is None else f": {exc.filename}"
+        print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
         return 2
 
 

@@ -51,7 +51,6 @@ class KMeansResult:
     centroids: np.ndarray
     assignments: np.ndarray
     inertia: float
-    inertia_history: list[float]
 
 
 def _finite_values(matrix: np.ndarray) -> np.ndarray:
@@ -86,25 +85,21 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray) -> KMeansResu
     k = centroids.shape[0]
     centroids = centroids.copy()
     rows = np.arange(n)
-    history: list[float] = []
     for _ in range(KMEANS_MAX_ITER):
         sq = pairwise_sq_dists(x, centroids, x_sq)
         assignments = sq.argmin(axis=1)
-        closest_sq = sq[rows, assignments]
         counts = np.bincount(assignments, minlength=k)
         if (counts == 0).any():
             # Reseed each empty cluster to the point farthest from its
             # nearest centroid, excluding points already chosen.
-            spare = closest_sq.copy()
+            spare = sq[rows, assignments]
             for empty in np.flatnonzero(counts == 0):
                 farthest = int(spare.argmax())
                 centroids[empty] = x[farthest]
                 spare[farthest] = -1.0
             sq = pairwise_sq_dists(x, centroids, x_sq)
             assignments = sq.argmin(axis=1)
-            closest_sq = sq[rows, assignments]
             counts = np.bincount(assignments, minlength=k)
-        history.append(float(closest_sq.sum()))
         # A stable sort lays each cluster's rows out contiguously in index
         # order, so reducing its slice adds the same rows in the same order
         # as the mean over a boolean mask would: the centroids are
@@ -125,7 +120,7 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray) -> KMeansResu
     sq = pairwise_sq_dists(x, centroids, x_sq)
     assignments = sq.argmin(axis=1)
     inertia = float(sq[rows, assignments].sum())
-    return KMeansResult(centroids, assignments, inertia, history)
+    return KMeansResult(centroids, assignments, inertia)
 
 
 def kmeans_fit(

@@ -8,6 +8,7 @@ distance).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -71,7 +72,7 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.epochs_max < 1 or self.patience_max < 1 or self.batch_size < 1:
             raise ConfigError("epochs_max, patience_max and batch_size must be positive")
-        if self.delta_min <= 0:
+        if not self.delta_min > 0:  # NaN too: it would never stop early
             raise ConfigError("delta_min must be positive")
         if not 0 < self.pctl_frequent < 100:
             raise ConfigError("pctl_frequent must lie in (0, 100)")
@@ -109,53 +110,39 @@ class PipelineConfig:
         for key, value in updates.items():
             if key not in fields:
                 raise ConfigError(f"unknown configuration key {key!r}")
-            parsed[key] = _coerce_field(key, value)
+            parsed[key] = _coerce_field(fields[key], value)
         return self.replace(**parsed)
 
 
-_ENUM_FIELDS = {
-    "ip_treatment": IpTreatment,
-    "numeric_treatment": NumericTreatment,
-    "clustering_features": ClusteringFeatures,
-    "distance_mode": DistanceMode,
-}
-_INT_FIELDS = {
-    "epochs_max",
-    "patience_max",
-    "batch_size",
-    "k_min",
-    "k_max",
-    "sanitize_min_port_count",
-    "rng_seed",
-    "silhouette_sample_max",
-}
-_FLOAT_FIELDS = {"delta_min", "pctl_frequent", "pctl_known", "global_tanh_threshold"}
+# The one field that may be None: per-cluster thresholds instead of tanh.
+_OPTIONAL_FIELD = "global_tanh_threshold"
 
 
-def _coerce_field(key: str, value):
-    if key in _ENUM_FIELDS:
-        if isinstance(value, _ENUM_FIELDS[key]):
-            return value
-        return _parse_enum(_ENUM_FIELDS[key], str(value))
+def _coerce_field(field: dataclasses.Field, value):
+    """A value of the type of the field's default; strings are parsed, and
+    a float must be finite."""
+    kind = type(field.default)
+    if field.name == _OPTIONAL_FIELD and (
+        value is None or (isinstance(value, str) and value.strip().lower() in {"", "none"})
+    ):
+        return None
+    if issubclass(kind, Enum):
+        return value if isinstance(value, kind) else _parse_enum(kind, str(value))
     try:
-        if key in _INT_FIELDS:
-            return int(value)
-        if key in _FLOAT_FIELDS:
-            if value is None or (isinstance(value, str) and value.strip().lower() in {"", "none"}):
-                return None if key == "global_tanh_threshold" else value
-            return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
-    return value
+        parsed = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad value for {field.name!r}: {value!r}") from exc
+    if kind is float and not math.isfinite(parsed):
+        raise ConfigError(f"{field.name} must be finite, got {value!r}")
+    return parsed
 
 
-def load_config_file(path: str | Path, base: Optional[PipelineConfig] = None) -> PipelineConfig:
+def load_config_file(path: str | Path) -> PipelineConfig:
     """Read a flat key=value configuration file.
 
     Blank lines and lines starting with '#' are ignored; keys mirror the
     PipelineConfig field names.
     """
-    config = base if base is not None else PipelineConfig()
     updates: dict[str, str] = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -166,4 +153,4 @@ def load_config_file(path: str | Path, base: Optional[PipelineConfig] = None) ->
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         updates[key.strip()] = value.strip()
-    return config.with_updates(updates)
+    return PipelineConfig().with_updates(updates)

@@ -22,9 +22,9 @@ from .config import (
     PipelineConfig,
 )
 from .errors import DataError, FlowSieveError
-from .metrics import EvalReport, auprc, macro_average, verdict_scores
+from .metrics import auprc, macro_average, present_scenarios, verdict_scores
 from .pipeline import classify_matrix, evaluate_pipeline, train_encoded, train_pipeline
-from .records import ATTACK_CLASSES, FlowRecord
+from .records import FlowRecord
 
 GRID_AXES: dict[str, tuple] = {
     "ip_treatment": (IpTreatment.DROP, IpTreatment.PREFIX_ONE_HOT),
@@ -43,20 +43,20 @@ GRID_AXES: dict[str, tuple] = {
 @dataclass
 class GridResult:
     config: PipelineConfig
-    report: Optional[EvalReport]
+    report: Optional[dict]
     error: Optional[str] = None
 
     @property
     def macro_auprc(self) -> Optional[float]:
         if self.report is None:
             return None
-        return self.report.macro.get("auprc")
+        return self.report["macro"]["auprc"]
 
     def to_dict(self) -> dict:
         return {
             "config": self.config.to_dict(),
             "macro_auprc": self.macro_auprc,
-            "macro": None if self.report is None else dict(self.report.macro),
+            "macro": None if self.report is None else dict(self.report["macro"]),
             "error": self.error,
         }
 
@@ -126,13 +126,13 @@ def sensitivity_sweep(
         sub_val = selected[cut:]
         try:
             trained = train_pipeline(sub_train, sub_val, config)
-            report, _ = evaluate_pipeline(trained, test)
+            macro = evaluate_pipeline(trained, test)[0]["macro"]
             points.append(
                 SweepPoint(
                     size=size,
-                    macro_precision=report.macro.get("precision"),
-                    macro_recall=report.macro.get("recall"),
-                    macro_f1=report.macro.get("f1"),
+                    macro_precision=macro["precision"],
+                    macro_recall=macro["recall"],
+                    macro_f1=macro["f1"],
                 )
             )
         except FlowSieveError as exc:
@@ -162,12 +162,12 @@ def run_benchmark(
     validation: Sequence[FlowRecord],
     test: Sequence[FlowRecord],
     config: PipelineConfig,
-) -> baselines.BenchmarkReport:
+) -> dict:
     """AUPRC comparison of the two-step pipeline against the one-step
     detectors, all on the same encoded matrices; the one-step autoencoder
     is the pipeline's frequency filter used alone."""
     labels = [flow.actual_label for flow in test]
-    present = [s for s in ATTACK_CLASSES if any(l is s for l in labels)]
+    present = present_scenarios(labels)
     if not present:
         raise DataError("benchmark needs attack-labeled test flows")
 
@@ -202,4 +202,4 @@ def run_benchmark(
         rows[name] = per_scenario
     rows["ocsvm"] = dict(baselines.OCSVM_REFERENCE_ROW)
     notes.append("ocsvm row is a published reference, not reproduced")
-    return baselines.BenchmarkReport(rows=rows, notes=notes)
+    return {"schema_version": 1, "rows": rows, "notes": notes}

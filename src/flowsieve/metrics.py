@@ -7,7 +7,6 @@ zero, so degenerate runs fail loudly.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -62,29 +61,30 @@ def confusion(
     )
 
 
-@dataclass(frozen=True)
-class ScenarioMetrics:
-    fpr: Optional[float]
-    precision: Optional[float]
-    recall: Optional[float]
-    f1: Optional[float]
-
-
 def _ratio(numerator: int, denominator: int) -> Optional[float]:
     if denominator == 0:
         return None
     return numerator / denominator
 
 
-def scenario_metrics(outcome: ScenarioOutcome) -> ScenarioMetrics:
-    fpr = _ratio(outcome.fp, outcome.fp + outcome.tn)
+def scenario_metrics(outcome: ScenarioOutcome) -> dict:
+    """The confusion counts with FPR, precision, recall and F1."""
     precision = _ratio(outcome.tp, outcome.tp + outcome.fp)
     recall = _ratio(outcome.tp, outcome.tp + outcome.fn)
     if precision is None or recall is None or precision + recall == 0:
         f1 = None
     else:
         f1 = 2.0 * precision * recall / (precision + recall)
-    return ScenarioMetrics(fpr=fpr, precision=precision, recall=recall, f1=f1)
+    return {
+        "tp": outcome.tp,
+        "fp": outcome.fp,
+        "tn": outcome.tn,
+        "fn": outcome.fn,
+        "fpr": _ratio(outcome.fp, outcome.fp + outcome.tn),
+        "precision": precision,
+        "recall": recall,
+        "f1": f1,
+    }
 
 
 def _pr_sweep(scores: np.ndarray, positives: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -167,50 +167,10 @@ def verdict_scores(verdicts: np.recarray) -> np.ndarray:
     return np.where(verdicts.frequent, 0.0, verdicts.tanh_score)
 
 
-@dataclass
-class ScenarioReport:
-    outcome: ScenarioOutcome
-    metrics: ScenarioMetrics
-    auprc: Optional[float]
-
-    def to_dict(self) -> dict:
-        return {
-            "tp": self.outcome.tp,
-            "fp": self.outcome.fp,
-            "tn": self.outcome.tn,
-            "fn": self.outcome.fn,
-            "fpr": self.metrics.fpr,
-            "precision": self.metrics.precision,
-            "recall": self.metrics.recall,
-            "f1": self.metrics.f1,
-            "auprc": self.auprc,
-        }
-
-
-@dataclass
-class EvalReport:
-    """Per-scenario metrics, macro-averages and the run's configuration.
-
-    The serialized artifact holds no timings, so reruns with the same seed
-    are byte-identical.
-    """
-
-    scenarios: dict[str, ScenarioReport]
-    macro: dict[str, Optional[float]]
-    config_snapshot: dict
-    thresholds: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "scenarios": {name: report.to_dict() for name, report in self.scenarios.items()},
-            "macro": dict(self.macro),
-            "config": dict(self.config_snapshot),
-            "thresholds": dict(self.thresholds),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+def present_scenarios(labels: Sequence[LabelClass]) -> list[LabelClass]:
+    """The attack scenarios with at least one flow, in ATTACK_CLASSES order."""
+    present = set(labels)
+    return [scenario for scenario in ATTACK_CLASSES if scenario in present]
 
 
 def build_eval_report(
@@ -218,32 +178,30 @@ def build_eval_report(
     labels: Sequence[LabelClass],
     config_snapshot: dict,
     thresholds: dict,
-) -> EvalReport:
-    """Assemble the full report for every attack scenario present."""
+) -> dict:
+    """The report of every attack scenario present: per-scenario metrics,
+    their macro-averages and the run's configuration.
+
+    The report holds no timings, so reruns with the same seed serialize
+    byte-identically.
+    """
     scores = verdict_scores(verdicts)
-    scenario_reports: dict[str, ScenarioReport] = {}
-    for scenario in ATTACK_CLASSES:
-        if not any(label is scenario for label in labels):
-            continue
-        outcome = confusion(verdicts, labels, scenario)
-        scenario_reports[scenario.value] = ScenarioReport(
-            outcome=outcome,
-            metrics=scenario_metrics(outcome),
-            auprc=auprc(scores, labels, scenario),
-        )
-    if not scenario_reports:
-        raise DataError("no attack-labeled flows to evaluate")
-    reports = list(scenario_reports.values())
-    macro = {
-        "fpr": macro_average([r.metrics.fpr for r in reports]),
-        "precision": macro_average([r.metrics.precision for r in reports]),
-        "recall": macro_average([r.metrics.recall for r in reports]),
-        "f1": macro_average([r.metrics.f1 for r in reports]),
-        "auprc": macro_average([r.auprc for r in reports]),
+    scenarios = {
+        scenario.value: {
+            **scenario_metrics(confusion(verdicts, labels, scenario)),
+            "auprc": auprc(scores, labels, scenario),
+        }
+        for scenario in present_scenarios(labels)
     }
-    return EvalReport(
-        scenarios=scenario_reports,
-        macro=macro,
-        config_snapshot=config_snapshot,
-        thresholds=thresholds,
-    )
+    if not scenarios:
+        raise DataError("no attack-labeled flows to evaluate")
+    return {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "scenarios": scenarios,
+        "macro": {
+            key: macro_average([entry[key] for entry in scenarios.values()])
+            for key in ("fpr", "precision", "recall", "f1", "auprc")
+        },
+        "config": dict(config_snapshot),
+        "thresholds": dict(thresholds),
+    }

@@ -18,7 +18,7 @@ from .clustering import Filter2Model
 from .config import ClusteringFeatures, PipelineConfig
 from .encode import EncodingRecipe
 from .errors import DataError
-from .metrics import EvalReport, build_eval_report
+from .metrics import build_eval_report
 from .records import FlowRecord, verdict_table
 
 
@@ -144,7 +144,7 @@ def classify_flows(pipeline: TrainedPipeline, flows: Sequence[FlowRecord]) -> np
 
 def evaluate_pipeline(
     pipeline: TrainedPipeline, test_flows: Sequence[FlowRecord]
-) -> tuple[EvalReport, np.recarray]:
+) -> tuple[dict, np.recarray]:
     """Classify the test flows and build the evaluation report."""
     tau = pipeline.config.global_tanh_threshold
     verdicts = classify_flows(pipeline, test_flows)

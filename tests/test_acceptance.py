@@ -18,8 +18,9 @@ from flowsieve.config import PipelineConfig
 from flowsieve.experiments import run_benchmark, sensitivity_sweep
 from flowsieve.records import LabelClass, PartitionTag
 from flowsieve.stats import nearest_rank_percentile
-from flowsieve.synth import SynthConfig, generate, separability_check
+from flowsieve.synth import SynthConfig, generate
 
+from separability import separability_check
 from test_autoencoder import max_gradient_relative_error
 from test_clustering import brute_force_silhouette
 from test_metrics import brute_force_average_precision
@@ -47,15 +48,15 @@ def test_criterion_01_metric_table_arithmetic():
         metrics.ScenarioOutcome(CRYPTO, tp=1703, fn=0, fp=315, tn=22157)
     )
     checks = {
-        "nmap precision": (nmap.precision, 0.906),
-        "nmap recall": (nmap.recall, 0.984),
-        "nmap f1": (nmap.f1, 0.944),
-        "nmap fpr": (nmap.fpr, 0.014),
-        "crypto precision": (crypto.precision, 0.844),
-        "crypto recall": (crypto.recall, 1.000),
-        "crypto f1": (crypto.f1, 0.915),
-        "crypto fpr": (crypto.fpr, 0.014),
-        "macro f1": (metrics.macro_average([nmap.f1, crypto.f1]), 0.929),
+        "nmap precision": (nmap["precision"], 0.906),
+        "nmap recall": (nmap["recall"], 0.984),
+        "nmap f1": (nmap["f1"], 0.944),
+        "nmap fpr": (nmap["fpr"], 0.014),
+        "crypto precision": (crypto["precision"], 0.844),
+        "crypto recall": (crypto["recall"], 1.000),
+        "crypto f1": (crypto["f1"], 0.915),
+        "crypto fpr": (crypto["fpr"], 0.014),
+        "macro f1": (metrics.macro_average([nmap["f1"], crypto["f1"]]), 0.929),
     }
     failures = [
         f"{name}: {got:.4f} vs {want}"
@@ -89,8 +90,8 @@ def test_criterion_05_synthetic_end_to_end():
     trained = pipeline.train_pipeline(training, parts.validation, config)
     report, _ = pipeline.evaluate_pipeline(trained, parts.test)
     elapsed = time.perf_counter() - started
-    recall = report.macro["recall"]
-    fpr = report.macro["fpr"]
+    recall = report["macro"]["recall"]
+    fpr = report["macro"]["fpr"]
     ok = recall >= 0.95 and fpr <= 0.05 and elapsed <= 120.0
     _report(
         5,
@@ -190,7 +191,7 @@ def test_criterion_10_determinism(synth_partitions):
         return (
             json.dumps(trained.filter1.to_dict()).encode(),
             json.dumps(trained.filter2.to_dict()).encode(),
-            report.to_json().encode(),
+            json.dumps(report, indent=2, sort_keys=True).encode(),
         )
 
     first = run_bytes()
@@ -241,9 +242,9 @@ def test_criterion_02_real_dataset_reproduction(real_runs):
     in_band = 0
     details = []
     for seed, (_, report, _) in runs.items():
-        auprc = report.macro["auprc"]
-        f1 = report.macro["f1"]
-        fpr = report.macro["fpr"]
+        auprc = report["macro"]["auprc"]
+        f1 = report["macro"]["f1"]
+        fpr = report["macro"]["fpr"]
         ok = 0.75 <= auprc <= 0.90 and 0.87 <= f1 <= 0.97 and fpr <= 0.03
         in_band += ok
         details.append(f"seed {seed}: auprc {auprc:.3f} f1 {f1:.3f} fpr {fpr:.4f}")
@@ -253,9 +254,9 @@ def test_criterion_02_real_dataset_reproduction(real_runs):
 def test_criterion_03_real_dataset_baseline_ordering(real_runs):
     training, validation, test = real_runs[:3]
     bench = run_benchmark(training, validation, test, PipelineConfig(rng_seed=INTEGRATION_SEEDS[0]))
-    two_step = bench.rows["two_step"]["macro"]
+    two_step = bench["rows"]["two_step"]["macro"]
     others = {
-        name: bench.rows[name]["macro"]
+        name: bench["rows"][name]["macro"]
         for name in ("kmeans", "autoencoder", "lof", "isolation_forest")
     }
     ok = all(two_step > value for value in others.values())
@@ -304,7 +305,7 @@ def test_integration_benign_mse_generalization(real_runs):
 
 def test_criterion_11_sensitivity_endpoint(real_runs):
     training, validation, test, runs = real_runs
-    full_f1 = runs[INTEGRATION_SEEDS[0]][1].macro["f1"]
+    full_f1 = runs[INTEGRATION_SEEDS[0]][1]["macro"]["f1"]
     points = sensitivity_sweep(
         training, validation, test, [40_000], PipelineConfig(rng_seed=INTEGRATION_SEEDS[0])
     )

@@ -128,7 +128,7 @@ class TestPipelineComposability:
         records, _ = ingest.parse_dataset(test_csv)
         table = pipeline.classify_flows(trained, records)
         labels = [record.actual_label for record in records]
-        expected = build_eval_report(table, labels, config_snapshot={}, thresholds={}).to_dict()
+        expected = build_eval_report(table, labels, config_snapshot={}, thresholds={})
         report = json.loads(report_json.read_text())
         assert report["scenarios"] == expected["scenarios"]
         assert report["macro"] == expected["macro"]
@@ -617,3 +617,25 @@ class TestStagedOutputs:
         assert "--out" in error and "--pr-curve" in error
         assert out.read_text() == "earlier report\n"
         assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_output_under_a_regular_file_is_a_file_system_error(self, tmp_path, capsys):
+        blockfile = tmp_path / "blockfile"
+        blockfile.write_text("a regular file, not a directory\n")
+        out = blockfile / "conf.json"
+        code = main(["eval", "--from-confusion", "tp=5", "fn=1", "fp=2", "tn=90", "--out", str(out)])
+        assert code == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error: ") and str(blockfile) in error
+        assert "Traceback" not in error
+        assert blockfile.read_text() == "a regular file, not a directory\n"
+        assert not list(tmp_path.rglob("*.tmp"))
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("setting", ["delta_min=none", "delta_min=nan", "pctl_known=", "k_max=3.5"])
+    def test_bad_set_value_is_usage_error(self, tmp_path, capsys, setting):
+        argv = ["train", "--data", str(tmp_path / "data"), "--outdir", str(tmp_path / "models")]
+        code = main([*argv, "--set", setting])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not any(tmp_path.iterdir())

@@ -81,12 +81,13 @@ class TestKMeans:
         dists = np.linalg.norm(x[:, None, :] - result.centroids[None, :, :], axis=2)
         assert np.array_equal(result.assignments, dists.argmin(axis=1))
 
-    def test_inertia_never_increases(self):
+    def test_lloyd_ends_no_worse_than_its_seeding(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(120, 4))
-        result = clustering.kmeans_fit(x, 4, seed=7)
-        history = result.inertia_history
-        assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
+        x_sq = np.einsum("ij,ij->i", x, x)
+        init = clustering._plus_plus_init(x, 4, np.random.default_rng(7), x_sq)
+        seeded_inertia = float(pairwise_sq_dists(x, init, x_sq).min(axis=1).sum())
+        assert clustering._lloyd(x, init, x_sq).inertia <= seeded_inertia + 1e-9
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_input_is_data_error(self, bad):
@@ -224,7 +225,6 @@ def masked_mean_lloyd(x: np.ndarray, centroids: np.ndarray) -> clustering.KMeans
     n, _ = x.shape
     k = centroids.shape[0]
     centroids = centroids.copy()
-    history = []
     for _ in range(clustering.KMEANS_MAX_ITER):
         sq = pairwise_sq_dists(x, centroids)
         assignments = sq.argmin(axis=1)
@@ -238,9 +238,7 @@ def masked_mean_lloyd(x: np.ndarray, centroids: np.ndarray) -> clustering.KMeans
                 spare[farthest] = -1.0
             sq = pairwise_sq_dists(x, centroids)
             assignments = sq.argmin(axis=1)
-            closest_sq = sq[np.arange(n), assignments]
             counts = np.bincount(assignments, minlength=k)
-        history.append(float(closest_sq.sum()))
         new_centroids = centroids.copy()
         for c in range(k):
             if counts[c] > 0:
@@ -252,7 +250,7 @@ def masked_mean_lloyd(x: np.ndarray, centroids: np.ndarray) -> clustering.KMeans
     sq = pairwise_sq_dists(x, centroids)
     assignments = sq.argmin(axis=1)
     inertia = float(sq[np.arange(n), assignments].sum())
-    return clustering.KMeansResult(centroids, assignments, inertia, history)
+    return clustering.KMeansResult(centroids, assignments, inertia)
 
 
 def one_clustering_silhouette(x: np.ndarray, assignments: np.ndarray) -> float:
@@ -332,7 +330,6 @@ class TestExactness:
         assert np.array_equal(got.centroids, want.centroids)
         assert np.array_equal(got.assignments, want.assignments)
         assert got.inertia == want.inertia
-        assert got.inertia_history == want.inertia_history
 
 
 def dense_silhouette_means(x: np.ndarray, assignment_sets) -> list[float]:

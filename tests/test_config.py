@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -76,6 +77,52 @@ class TestPipelineConfig:
         config = PipelineConfig(pctl_known=98.0, k_max=12)
         assert PipelineConfig.from_dict(config.to_dict()) == config
 
+    @pytest.mark.parametrize(
+        "value", ["none", "", "nan", "inf", "-inf", "1e309", 1e309, float("nan"), 10**400],
+        ids=["none", "empty", "nan", "inf", "-inf", "1e309", "float-inf", "float-nan", "int-10**400"],
+    )
+    def test_float_fields_take_finite_floats_only(self, value):
+        for key in ("delta_min", "pctl_frequent", "pctl_known"):
+            with pytest.raises(ConfigError):
+                PipelineConfig().with_updates({key: value})
+
+    def test_constructed_delta_min_may_be_infinite_but_not_nan(self):
+        # inf never counts an epoch as an improvement; NaN would never stop
+        assert PipelineConfig(delta_min=math.inf).delta_min == math.inf
+        with pytest.raises(ConfigError):
+            PipelineConfig(delta_min=math.nan)
+
+    def test_only_the_tanh_threshold_may_be_none(self):
+        for text in ("", "none", "None"):
+            assert PipelineConfig().with_updates({"global_tanh_threshold": text}).global_tanh_threshold is None
+        for key in ("delta_min", "epochs_max", "ip_treatment"):
+            with pytest.raises(ConfigError):
+                PipelineConfig().with_updates({key: None})
+
+    def test_a_400_digit_seed_is_accepted(self):
+        seed = "9" * 400
+        assert PipelineConfig().with_updates({"rng_seed": seed}).rng_seed == int(seed)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([field.name for field in dataclasses.fields(PipelineConfig)]),
+        st.sampled_from(["", "none", "nan", "inf", "1e309", "3.5", "x", "9" * 400, "-1", "0", "7"])
+        | st.text(max_size=6),
+    )
+    def test_any_string_gives_a_valid_config_or_a_config_error(self, key, text):
+        try:
+            config = PipelineConfig().with_updates({key: text})
+        except ConfigError:
+            return
+        value, default = getattr(config, key), getattr(PipelineConfig(), key)
+        if value is None:
+            assert key == "global_tanh_threshold"
+        else:
+            assert type(value) is type(default)
+            if isinstance(value, float):
+                assert math.isfinite(value)
+        assert PipelineConfig.from_dict(config.to_dict()) == config
+
 
 class TestConfigFile:
     def test_parse(self, tmp_path):
@@ -84,6 +131,12 @@ class TestConfigFile:
         config = load_config_file(path)
         assert config.pctl_frequent == 70.0
         assert config.numeric_treatment is NumericTreatment.AS_IS
+
+    def test_bad_value_is_config_error(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_text("delta_min=nan\n")
+        with pytest.raises(ConfigError):
+            load_config_file(path)
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "run.conf"

@@ -129,13 +129,13 @@ class TestBenchmark:
         training, validation, test = small_partitions
         report = run_benchmark(training, validation, test, PipelineConfig(rng_seed=3))
         expected_rows = {"two_step", "autoencoder", "kmeans", "lof", "isolation_forest", "ocsvm"}
-        assert set(report.rows) == expected_rows
+        assert set(report["rows"]) == expected_rows
         for name in expected_rows - {"ocsvm"}:
-            assert 0.0 <= report.rows[name]["macro"] <= 1.0
-        assert "not reproduced" in report.rows["ocsvm"]["note"]
+            assert 0.0 <= report["rows"][name]["macro"] <= 1.0
+        assert "not reproduced" in report["rows"]["ocsvm"]["note"]
         # the planted anomalies are separable, so the two-step pipeline
         # must do well in absolute terms here
-        assert report.rows["two_step"]["macro"] > 0.9
+        assert report["rows"]["two_step"]["macro"] > 0.9
 
     def test_autoencoder_row_equals_a_separately_trained_one_step_autoencoder(self, small_partitions):
         # reference: the one-step autoencoder as a second train_filter1 on
@@ -153,7 +153,7 @@ class TestBenchmark:
         want = {s.value: auprc(separate, labels, s) for s in ATTACK_CLASSES}
         want["macro"] = macro_average(list(want.values()))
         report = run_benchmark(training, validation, test, config)
-        assert report.rows["autoencoder"] == want
+        assert report["rows"]["autoencoder"] == want
 
     def test_test_flows_without_attacks_fail_before_training(self, small_partitions, monkeypatch):
         training, validation, test = small_partitions

@@ -68,29 +68,29 @@ class TestScenarioMetrics:
     def test_published_nmap_counts(self):
         outcome = metrics.ScenarioOutcome(NMAP, tp=3032, fp=315, tn=22157, fn=48)
         m = metrics.scenario_metrics(outcome)
-        assert m.precision == pytest.approx(0.906, abs=1e-3)
-        assert m.recall == pytest.approx(0.984, abs=1e-3)
-        assert m.f1 == pytest.approx(0.944, abs=1e-3)
-        assert m.fpr == pytest.approx(0.014, abs=1e-3)
+        assert m["precision"] == pytest.approx(0.906, abs=1e-3)
+        assert m["recall"] == pytest.approx(0.984, abs=1e-3)
+        assert m["f1"] == pytest.approx(0.944, abs=1e-3)
+        assert m["fpr"] == pytest.approx(0.014, abs=1e-3)
 
     def test_published_crypto_counts(self):
         outcome = metrics.ScenarioOutcome(CRYPTO, tp=1703, fp=315, tn=22157, fn=0)
         m = metrics.scenario_metrics(outcome)
-        assert m.precision == pytest.approx(0.844, abs=1e-3)
-        assert m.recall == pytest.approx(1.000, abs=1e-3)
-        assert m.f1 == pytest.approx(0.915, abs=1e-3)
+        assert m["precision"] == pytest.approx(0.844, abs=1e-3)
+        assert m["recall"] == pytest.approx(1.000, abs=1e-3)
+        assert m["f1"] == pytest.approx(0.915, abs=1e-3)
 
     def test_zero_over_zero_is_undefined(self):
         outcome = metrics.ScenarioOutcome(NMAP, tp=0, fp=0, tn=5, fn=2)
         m = metrics.scenario_metrics(outcome)
-        assert m.precision is None
-        assert m.recall == 0.0
-        assert m.f1 is None
+        assert m["precision"] is None
+        assert m["recall"] == 0.0
+        assert m["f1"] is None
 
     def test_all_zero_recall_denominator(self):
         outcome = metrics.ScenarioOutcome(NMAP, tp=0, fp=1, tn=5, fn=0)
         m = metrics.scenario_metrics(outcome)
-        assert m.recall is None
+        assert m["recall"] is None
 
 
 def brute_force_average_precision(scores, positives):
@@ -192,7 +192,7 @@ class TestThresholdMonotonicity:
             verdicts = _table(tanh_scores >= tau, tanh=tanh_scores)
             outcome = metrics.confusion(verdicts, labels, NMAP)
             m = metrics.scenario_metrics(outcome)
-            recalls.append(m.recall)
+            recalls.append(m["recall"])
             benign_predictions.append(int(np.count_nonzero(~verdicts.malicious)))
         assert all(b <= a + 1e-12 for a, b in zip(recalls, recalls[1:]))
         assert all(b >= a for a, b in zip(benign_predictions, benign_predictions[1:]))
@@ -206,14 +206,27 @@ class TestEvalReport:
             tanh=[0.9, 0.85, 0.95, 0.0, 0.2],
             frequent=[False, False, False, True, False],
         )
-        report = metrics.build_eval_report(
+        payload = metrics.build_eval_report(
             verdicts, labels, config_snapshot={"rng_seed": 1}, thresholds={"th_frequent": 0.1}
         )
-        payload = report.to_dict()
         assert payload["schema_version"] == 1
         assert set(payload["scenarios"]) == {NMAP.value, CRYPTO.value}
         assert payload["macro"]["recall"] == 1.0
         assert "runtime" not in str(payload)  # volatile data never serialized
+
+    def test_report_keys_and_present_scenarios(self):
+        labels = [CRYPTO, BENIGN, BENIGN]
+        verdicts = _table([True, False, True], tanh=[0.9, 0.1, 0.8])
+        assert metrics.present_scenarios(labels) == [CRYPTO]
+        assert metrics.present_scenarios([CRYPTO, NMAP]) == [NMAP, CRYPTO]
+        assert metrics.present_scenarios([BENIGN]) == []
+        report = metrics.build_eval_report(verdicts, labels, config_snapshot={}, thresholds={})
+        assert set(report) == {"schema_version", "scenarios", "macro", "config", "thresholds"}
+        assert list(report["scenarios"]) == [CRYPTO.value]
+        entry = report["scenarios"][CRYPTO.value]
+        assert entry == {**metrics.scenario_metrics(metrics.confusion(verdicts, labels, CRYPTO)), "auprc": 1.0}
+        assert set(entry) == {"tp", "fp", "tn", "fn", "fpr", "precision", "recall", "f1", "auprc"}
+        assert report["macro"] == {key: entry[key] for key in ("fpr", "precision", "recall", "f1", "auprc")}
 
     def test_verdict_scores_convention(self):
         verdicts = _table([False, True], tanh=[0.0, 0.8], frequent=[True, False])

@@ -6,13 +6,13 @@ import pytest
 from flowsieve import ingest
 from flowsieve.errors import ConfigError
 from flowsieve.records import LabelClass, PartitionTag, validate_record
+from separability import separability_check
 from flowsieve.synth import (
     BehaviorKind,
     BehaviorSpec,
     SynthConfig,
     default_behaviors,
     generate,
-    separability_check,
 )
 
 
