@@ -4,7 +4,8 @@
 
 runs, in a temporary directory and with one BLAS thread,
 
-    synth -> ingest -> train -> detect (global-tanh and per-cluster)
+    synth -> ingest -> train -> calibrate (of a copy of the models)
+    -> detect (global-tanh and per-cluster)
     -> eval --pr-curve of each -> eval --from-confusion (with a 0/0 case)
     -> bench -> grid (epochs_max=2 patience_max=2 k_max=3)
     -> sweep --sizes 200,600
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -29,6 +31,8 @@ CHAIN = [
     ("synth", ["synth", "--split", "{split}", "--seed", "{seed}", "--out", "capture.csv"]),
     ("ingest", ["ingest", "--input", "capture.csv", "--outdir", "data", "--split", "{split}"]),
     ("train", ["train", "--data", "data", "--outdir", "models"]),
+    # calibrate loads both models and writes them back
+    ("calibrate", ["calibrate", "--data", "data", "--models", "calibrated"]),
     ("detect-global", ["detect", "--models", "models", "--input", "data/test.csv", "--out", "global.csv"]),
     (
         "detect-per-cluster",
@@ -64,6 +68,8 @@ def run_chain(src: Path, seed: int, split: str, workdir: Path) -> None:
     (workdir / "stdout").mkdir()
     for step, argv in CHAIN:
         argv = [arg.format(seed=seed, split=split) for arg in argv]
+        if step == "calibrate":  # it rewrites its models in place
+            shutil.copytree(workdir / "models", workdir / "calibrated")
         done = subprocess.run(
             [sys.executable, "-m", "flowsieve.cli", *argv], cwd=workdir, env=env, capture_output=True
         )

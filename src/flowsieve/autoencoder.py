@@ -8,21 +8,17 @@ no best-weights rollback.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from .artifact import Artifact, finite_array, finite_float, integer, list_of, optional
 from .config import PipelineConfig
 from .encode import EncodingRecipe
-from .errors import DataError, NumericError, SchemaError, artifact_field
+from .errors import DataError, NumericError
 from .stats import TAG_AE_INIT, TAG_AE_SHUFFLE, derive_rng, nearest_rank_percentile
-
-MODEL_SCHEMA_VERSION = 1
-_ARTIFACT = "frequency-filter"
 
 ADAM_STEP_SIZE = 0.001
 ADAM_BETA1 = 0.9
@@ -48,7 +44,7 @@ def layer_dimensions(input_dim: int) -> list[int]:
 
 
 @dataclass
-class Filter1Model:
+class Filter1Model(Artifact):
     """Trained frequency filter: weights, the recipe that encodes its input,
     threshold and training history."""
 
@@ -60,66 +56,37 @@ class Filter1Model:
     th_frequent: Optional[float] = None
     training_history: list[float] = field(default_factory=list)
 
+    ARTIFACT = "frequency-filter"
+    SCHEMA_VERSION = 1
+    READERS = {
+        "layer_dims": list_of(integer),
+        "weights": list_of(finite_array),
+        "biases": list_of(finite_array),
+        "seed": integer,
+        "recipe": optional(EncodingRecipe.from_dict),
+        "th_frequent": optional(finite_float),
+        "training_history": optional(list_of(finite_float), list),
+    }
+
     @property
     def input_dim(self) -> int:
         return self.layer_dims[0]
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": MODEL_SCHEMA_VERSION,
-            "layer_dims": list(self.layer_dims),
-            "weights": [w.tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-            "seed": self.seed,
-            "recipe": None if self.recipe is None else self.recipe.to_dict(),
-            "th_frequent": self.th_frequent,
-            "training_history": list(self.training_history),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Filter1Model":
-        version = data.get("schema_version")
-        if version != MODEL_SCHEMA_VERSION:
-            raise SchemaError(f"unsupported frequency-filter schema version: {version!r}")
-        dims = artifact_field(data, "layer_dims", lambda v: [int(d) for d in v], _ARTIFACT)
-        weights = artifact_field(data, "weights", _float_arrays, _ARTIFACT)
-        biases = artifact_field(data, "biases", _float_arrays, _ARTIFACT)
-        seed = artifact_field(data, "seed", int, _ARTIFACT)
-        if len(dims) < 2 or len(weights) != len(dims) - 1 or len(biases) != len(dims) - 1:
-            raise SchemaError(
-                f"{len(dims)} layer_dims need {max(len(dims) - 1, 0)} weight matrices and bias "
-                f"vectors, got {len(weights)} and {len(biases)}"
+    def check(self) -> None:
+        dims = self.layer_dims
+        if not dims or dims != layer_dimensions(dims[0]):
+            raise self.invalid("layer_dims", f"expected 100-50-25-50-100% of layer_dims[0], got {dims}")
+        for key, shapes in (("weights", list(zip(dims, dims[1:]))), ("biases", [(d,) for d in dims[1:]])):
+            arrays = getattr(self, key)
+            if len(arrays) != len(shapes):
+                raise self.invalid(key, f"{len(dims)} layer_dims need {len(shapes)} arrays, got {len(arrays)}")
+            for i, (array, shape) in enumerate(zip(arrays, shapes)):
+                if array.shape != shape:
+                    raise self.invalid(key, f"{key}[{i}] must have shape {shape}, got {array.shape}")
+        if self.recipe is not None and self.recipe.dimension != dims[0]:
+            raise self.invalid(
+                "recipe", f"it encodes {self.recipe.dimension} columns but layer_dims[0] is {dims[0]}"
             )
-        for i, (w, b) in enumerate(zip(weights, biases)):
-            if w.shape != (dims[i], dims[i + 1]):
-                raise SchemaError(f"weights[{i}] must have shape {(dims[i], dims[i + 1])}, got {w.shape}")
-            if b.shape != (dims[i + 1],):
-                raise SchemaError(f"biases[{i}] must have shape {(dims[i + 1],)}, got {b.shape}")
-        recipe = None if data.get("recipe") is None else EncodingRecipe.from_dict(data["recipe"])
-        if recipe is not None and recipe.dimension != dims[0]:
-            raise SchemaError(
-                f"recipe encodes {recipe.dimension} columns but layer_dims[0] is {dims[0]}"
-            )
-        return cls(
-            layer_dims=dims,
-            weights=weights,
-            biases=biases,
-            seed=seed,
-            recipe=recipe,
-            th_frequent=data.get("th_frequent"),
-            training_history=[float(v) for v in data.get("training_history", [])],
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict()) + "\n"
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Filter1Model":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-
-def _float_arrays(value) -> list[np.ndarray]:
-    return [np.asarray(a, dtype=float) for a in value]
 
 
 _BIAS_INIT = 0.01  # small positive: keeps ReLU paths alive and off the kink

@@ -276,15 +276,15 @@ def _write_models(models_dir: Path, trained: pipeline.TrainedPipeline) -> None:
 
 def _load_pipeline(models_dir: Path, config: PipelineConfig) -> pipeline.TrainedPipeline:
     """The calibrated pipeline saved under models_dir, run with config."""
-    f1_path = models_dir / FILTER1_FILE
-    f2_path = models_dir / FILTER2_FILE
-    if not f1_path.exists() or not f2_path.exists():
-        raise DataError(f"missing model files under {models_dir}")
-    filter1, filter2 = Filter1Model.load(f1_path), Filter2Model.load(f2_path)
+    filter1 = Filter1Model.load(models_dir / FILTER1_FILE)
+    filter2 = Filter2Model.load(models_dir / FILTER2_FILE)
     if filter1.recipe is None:
         raise SchemaError("frequency-filter artifact lacks its encoding recipe")
     if filter1.th_frequent is None:
         raise DataError("frequency filter is not calibrated (missing threshold)")
+    basis = filter2.pca_basis
+    if basis is not None and basis.mean.size != filter1.input_dim:
+        raise Filter2Model.invalid("pca_basis", f"it has {basis.mean.size} columns, not {filter1.input_dim}")
     return pipeline.TrainedPipeline(config=config, filter1=filter1, filter2=filter2)
 
 

@@ -9,16 +9,15 @@ point farthest from its nearest centroid.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .artifact import Artifact, finite_array, finite_float, integer, list_of, mapping, optional, text
 from .config import ClusteringFeatures, DistanceMode, PipelineConfig
 from .encode import PcaBasis
-from .errors import DataError, DegenerateDataError, SchemaError, artifact_field
+from .errors import DataError, DegenerateDataError
 from .stats import (
     TAG_KMEANS,
     TAG_SILHOUETTE_SAMPLE,
@@ -29,9 +28,6 @@ from .stats import (
     row_sq_norms,
     seed_sequence,
 )
-
-FILTER2_SCHEMA_VERSION = 1
-_ARTIFACT = "cluster-filter"
 
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 300
@@ -233,7 +229,7 @@ class _SilhouetteTally:
 
 
 @dataclass
-class Filter2Model:
+class Filter2Model(Artifact):
     """Known-behavior filter: centroids, thresholds and the feature space."""
 
     k_star: int
@@ -247,70 +243,42 @@ class Filter2Model:
     silhouette_by_k: dict[int, float] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
 
+    ARTIFACT = "cluster-filter"
+    SCHEMA_VERSION = 1
+    READERS = {
+        "k_star": integer,
+        "centroids": finite_array,
+        "per_cluster_thresholds": optional(list_of(finite_float)),
+        "distance_mode": DistanceMode,
+        "feature_space": ClusteringFeatures,
+        "per_cluster_mean": optional(finite_array),
+        "per_cluster_std": optional(finite_array),
+        "pca_basis": optional(PcaBasis.from_dict),
+        "silhouette_by_k": optional(mapping(int, finite_float), dict),
+        "notes": optional(list_of(text), list),
+    }
+
     @property
     def dimension(self) -> int:
         return int(self.centroids.shape[1])
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": FILTER2_SCHEMA_VERSION,
-            "k_star": self.k_star,
-            "centroids": self.centroids.tolist(),
-            "per_cluster_thresholds": self.per_cluster_thresholds,
-            "distance_mode": self.distance_mode.value,
-            "feature_space": self.feature_space.value,
-            "per_cluster_mean": None if self.per_cluster_mean is None else self.per_cluster_mean.tolist(),
-            "per_cluster_std": None if self.per_cluster_std is None else self.per_cluster_std.tolist(),
-            "pca_basis": None if self.pca_basis is None else self.pca_basis.to_dict(),
-            "silhouette_by_k": {str(k): v for k, v in self.silhouette_by_k.items()},
-            "notes": list(self.notes),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Filter2Model":
-        version = data.get("schema_version")
-        if version != FILTER2_SCHEMA_VERSION:
-            raise SchemaError(f"unsupported cluster-filter schema version: {version!r}")
-        k_star = artifact_field(data, "k_star", int, _ARTIFACT)
-        centroids = artifact_field(data, "centroids", _float_array, _ARTIFACT)
-        if centroids.ndim != 2 or centroids.shape[0] != k_star:
-            raise SchemaError(
-                f"centroids must be a matrix of k_star={k_star} rows, got shape {centroids.shape}"
+    def check(self) -> None:
+        k_star, shape = self.k_star, self.centroids.shape
+        if len(shape) != 2 or shape[0] != k_star:
+            raise self.invalid("centroids", f"expected a matrix of k_star={k_star} rows, got shape {shape}")
+        thresholds = self.per_cluster_thresholds
+        if thresholds is not None and len(thresholds) != k_star:
+            raise self.invalid(
+                "per_cluster_thresholds", f"expected k_star={k_star} values, got {len(thresholds)}"
             )
-        thresholds = data.get("per_cluster_thresholds")
-        if thresholds is not None and (not isinstance(thresholds, list) or len(thresholds) != k_star):
-            raise SchemaError(f"per_cluster_thresholds must hold k_star={k_star} values")
-        scales = {}
         for key in ("per_cluster_mean", "per_cluster_std"):
-            scale = None if data.get(key) is None else artifact_field(data, key, _float_array, _ARTIFACT)
-            if scale is not None and scale.shape != centroids.shape:
-                raise SchemaError(
-                    f"{key} must match the centroids' shape {centroids.shape}, got {scale.shape}"
-                )
-            scales[key] = scale
-        return cls(
-            k_star=k_star,
-            centroids=centroids,
-            per_cluster_thresholds=thresholds,
-            distance_mode=artifact_field(data, "distance_mode", DistanceMode, _ARTIFACT),
-            feature_space=artifact_field(data, "feature_space", ClusteringFeatures, _ARTIFACT),
-            per_cluster_mean=scales["per_cluster_mean"],
-            per_cluster_std=scales["per_cluster_std"],
-            pca_basis=None if data.get("pca_basis") is None else PcaBasis.from_dict(data["pca_basis"]),
-            silhouette_by_k={int(k): float(v) for k, v in data.get("silhouette_by_k", {}).items()},
-            notes=list(data.get("notes", [])),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict()) + "\n"
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Filter2Model":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-
-def _float_array(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+            scale = getattr(self, key)
+            if scale is not None and scale.shape != shape:
+                raise self.invalid(key, f"expected the centroids' shape {shape}, got {scale.shape}")
+        if self.per_cluster_std is not None and not (self.per_cluster_std > 0.0).all():
+            raise self.invalid("per_cluster_std", "every std must be positive")
+        if self.feature_space is ClusteringFeatures.PCA and self.pca_basis is None:
+            raise self.invalid("pca_basis", "the pca feature space needs one")
 
 
 def train_filter2(matrix: np.ndarray, config: PipelineConfig) -> Filter2Model:

@@ -14,6 +14,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional
 
+from .artifact import encode_value
 from .errors import ConfigError
 
 
@@ -93,11 +94,7 @@ class PipelineConfig:
         return dataclasses.replace(self, **changes)
 
     def to_dict(self) -> dict:
-        out = {}
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            out[field.name] = value.value if isinstance(value, Enum) else value
-        return out
+        return encode_value(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":

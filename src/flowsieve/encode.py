@@ -14,16 +14,15 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from .artifact import Artifact, finite_array, finite_float, integer, list_of, mapping, text
 from .config import ClusteringFeatures, IpTreatment, NumericTreatment, PipelineConfig
-from .errors import ConfigError, DataError, SchemaError, artifact_field
+from .errors import ConfigError, DataError
 from .records import TCP_BIT_NAMES, FlowRecord
 
 if TYPE_CHECKING:
     from .autoencoder import Filter1Model
 
 OTHER = "OTHER"
-
-RECIPE_SCHEMA_VERSION = 1
 
 # Encoded features in declaration order: (kind, feature, record field).
 # A categorical feature expands into one indicator per vocabulary value
@@ -60,47 +59,43 @@ MANUAL_SUBSET_COLUMNS = (
 )
 
 
+def _numeric_range(value) -> tuple[float, float]:
+    bounds = list_of(finite_float)(value)
+    if len(bounds) != 2 or not bounds[0] <= bounds[1]:
+        raise ValueError(f"expected finite [min, max], got {value!r:.40}")
+    return bounds[0], bounds[1]
+
+
 @dataclass(frozen=True)
-class EncodingRecipe:
+class EncodingRecipe(Artifact):
     ip_treatment: IpTreatment
     numeric_treatment: NumericTreatment
     vocabularies: dict[str, tuple[str, ...]]  # sorted values, OTHER implied last
     numeric_stats: dict[str, tuple[float, float]]  # (min, max) of transformed values
     columns: tuple[str, ...]
 
+    ARTIFACT = "recipe"
+    SCHEMA_VERSION = 1
+    READERS = {
+        "ip_treatment": IpTreatment,
+        "numeric_treatment": NumericTreatment,
+        "vocabularies": mapping(text, list_of(text, tuple)),
+        "numeric_stats": mapping(text, _numeric_range),
+        "columns": list_of(text, tuple),
+    }
+
     @property
     def dimension(self) -> int:
         return len(self.columns)
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": RECIPE_SCHEMA_VERSION,
-            "ip_treatment": self.ip_treatment.value,
-            "numeric_treatment": self.numeric_treatment.value,
-            "vocabularies": {k: list(v) for k, v in self.vocabularies.items()},
-            "numeric_stats": {k: [v[0], v[1]] for k, v in self.numeric_stats.items()},
-            "columns": list(self.columns),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EncodingRecipe":
-        version = data.get("schema_version")
-        if version != RECIPE_SCHEMA_VERSION:
-            raise SchemaError(f"unsupported recipe schema version: {version!r}")
-        return cls(
-            ip_treatment=artifact_field(data, "ip_treatment", IpTreatment, "recipe"),
-            numeric_treatment=artifact_field(data, "numeric_treatment", NumericTreatment, "recipe"),
-            vocabularies=artifact_field(
-                data, "vocabularies", lambda v: {k: tuple(w) for k, w in v.items()}, "recipe"
-            ),
-            numeric_stats=artifact_field(
-                data,
-                "numeric_stats",
-                lambda v: {k: (float(w[0]), float(w[1])) for k, w in v.items()},
-                "recipe",
-            ),
-            columns=artifact_field(data, "columns", tuple, "recipe"),
-        )
+    def check(self) -> None:
+        features = list(_active_features(self.ip_treatment))
+        for key, kinds in (("vocabularies", ("categorical",)), ("numeric_stats", ("numeric", "optional"))):
+            names = sorted(name for kind, name, _ in features if kind in kinds)
+            if sorted(getattr(self, key)) != names:
+                raise self.invalid(key, f"must hold exactly the features {', '.join(names)}")
+        if self.columns != recipe_columns(self.ip_treatment, self.vocabularies):
+            raise self.invalid("columns", "they differ from the columns of ip_treatment and vocabularies")
 
 
 @dataclass(frozen=True)
@@ -146,6 +141,18 @@ def _numeric_column(column: list, kind: str, name: str, treatment: NumericTreatm
     return values
 
 
+def recipe_columns(ip_treatment: IpTreatment, vocabularies: dict[str, tuple[str, ...]]) -> tuple[str, ...]:
+    """Encoded column names: one per vocabulary value plus OTHER for a
+    categorical feature, else the feature's name."""
+    columns: list[str] = []
+    for kind, name, _ in _active_features(ip_treatment):
+        if kind == "categorical":
+            columns.extend(f"{name}={value}" for value in (*vocabularies[name], OTHER))
+        else:
+            columns.append(name)
+    return tuple(columns)
+
+
 def fit_recipe(training_flows: list[FlowRecord], config: PipelineConfig) -> EncodingRecipe:
     """Learn vocabularies and scaling statistics from training flows only.
 
@@ -155,24 +162,19 @@ def fit_recipe(training_flows: list[FlowRecord], config: PipelineConfig) -> Enco
         raise DataError("cannot fit an encoding recipe on an empty training set")
     vocabularies: dict[str, tuple[str, ...]] = {}
     numeric_stats: dict[str, tuple[float, float]] = {}
-    columns: list[str] = []
     for kind, name, field in _active_features(config.ip_treatment):
         column = list(map(attrgetter(field), training_flows))
         if kind == "categorical":
-            vocab = tuple(sorted(set(_categories(column))))
-            vocabularies[name] = vocab
-            columns.extend(f"{name}={value}" for value in (*vocab, OTHER))
-            continue
-        if kind != "binary":
+            vocabularies[name] = tuple(sorted(set(_categories(column))))
+        elif kind != "binary":
             transformed = _numeric_column(column, kind, name, config.numeric_treatment)
             numeric_stats[name] = (float(transformed.min()), float(transformed.max()))
-        columns.append(name)
     return EncodingRecipe(
         ip_treatment=config.ip_treatment,
         numeric_treatment=config.numeric_treatment,
         vocabularies=vocabularies,
         numeric_stats=numeric_stats,
-        columns=tuple(columns),
+        columns=recipe_columns(config.ip_treatment, vocabularies),
     )
 
 
@@ -204,7 +206,7 @@ def apply_recipe(flows: list[FlowRecord], recipe: EncodingRecipe) -> FeatureMatr
 
 
 @dataclass(frozen=True)
-class PcaBasis:
+class PcaBasis(Artifact):
     """Orthonormal principal axes of the fitting data.
 
     components[i] is the i-th axis (descending eigenvalue order); retained
@@ -217,25 +219,21 @@ class PcaBasis:
     explained_variance_ratio: np.ndarray
     retained: int
 
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean.tolist(),
-            "components": self.components.tolist(),
-            "explained_variance_ratio": self.explained_variance_ratio.tolist(),
-            "retained": self.retained,
-        }
+    ARTIFACT = "PCA basis"
+    READERS = {
+        "mean": finite_array,
+        "components": finite_array,
+        "explained_variance_ratio": finite_array,
+        "retained": integer,
+    }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "PcaBasis":
-        def array(key: str) -> np.ndarray:
-            return artifact_field(data, key, lambda v: np.asarray(v, dtype=float), "PCA basis")
-
-        return cls(
-            mean=array("mean"),
-            components=array("components"),
-            explained_variance_ratio=array("explained_variance_ratio"),
-            retained=artifact_field(data, "retained", int, "PCA basis"),
-        )
+    def check(self) -> None:
+        d = len(self.components) if self.components.ndim == 2 else 0
+        for key, shape in (("components", (d, d)), ("mean", (d,)), ("explained_variance_ratio", (d,))):
+            if getattr(self, key).shape != shape:
+                raise self.invalid(key, f"must have shape {shape}, got {getattr(self, key).shape}")
+        if not 1 <= self.retained <= d:
+            raise self.invalid("retained", f"must lie in [1, {d}], got {self.retained}")
 
 
 VARIANCE_TARGET = 0.95

@@ -28,16 +28,3 @@ class NumericError(FlowSieveError):
 class DegenerateDataError(NumericError):
     """Input admits no meaningful fit (e.g. all rows identical)."""
 
-
-def artifact_field(data: dict, key: str, convert, artifact: str):
-    """Return ``convert(data[key])`` for a model artifact.
-
-    A missing key, or a value ``convert`` rejects (an unknown enum value,
-    a non-numeric or ragged array), raises SchemaError naming the key.
-    """
-    if key not in data:
-        raise SchemaError(f"{artifact} artifact lacks the required key {key!r}")
-    try:
-        return convert(data[key])
-    except (TypeError, ValueError, AttributeError, IndexError) as exc:
-        raise SchemaError(f"{artifact} artifact has an invalid {key}: {exc}") from None

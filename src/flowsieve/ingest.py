@@ -90,17 +90,6 @@ class ParseReport:
         }
 
 
-def _open_source(source: Union[str, Path, bytes, IO]) -> IO[str]:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if isinstance(source, io.TextIOBase):
-        return source
-    # Binary stream
-    return io.TextIOWrapper(source, encoding="utf-8", newline="")
-
-
 def _parse_int(cell: str, what: str) -> int:
     try:
         return int(cell)
@@ -164,8 +153,9 @@ def _parse_partition(cell: str) -> PartitionTag:
         raise ValueError("unknown partition") from None
 
 
-def parse_dataset(source: Union[str, Path, bytes, IO]) -> tuple[list[FlowRecord], ParseReport]:
-    """Parse a flow CSV into records plus a parse report.
+def parse_dataset(source: Union[str, Path, bytes]) -> tuple[list[FlowRecord], ParseReport]:
+    """Parse a flow CSV, named by its path or given as bytes, into records
+    plus a parse report.
 
     Every well-formed row becomes a FlowRecord; malformed rows are counted
     with a reason. An integer cell beyond float range is malformed too
@@ -173,12 +163,10 @@ def parse_dataset(source: Union[str, Path, bytes, IO]) -> tuple[list[FlowRecord]
     be encoded. A missing mandatory column or an empty stream raises
     SchemaError.
     """
-    stream = _open_source(source)
-    try:
+    if isinstance(source, bytes):
+        return _parse_stream(io.StringIO(source.decode("utf-8")))
+    with open(source, "r", encoding="utf-8", newline="") as stream:
         return _parse_stream(stream)
-    finally:
-        if isinstance(source, (str, Path)):
-            stream.close()
 
 
 # Columns a row is read from, in the order _row_to_record takes them.
@@ -352,21 +340,15 @@ def record_to_row(record: FlowRecord, include_port: bool) -> list[str]:
     return row
 
 
-def write_dataset(records: Iterable[FlowRecord], target: Union[str, Path, IO[str]]) -> None:
-    """Serialize records to the canonical CSV schema (UTF-8, header row)."""
+def write_dataset(records: Iterable[FlowRecord], target: IO[str]) -> None:
+    """Serialize records to the canonical CSV schema (header row) on a text stream."""
     records = list(records)
     include_port = any(r.destination_port is not None for r in records)
     header = list(CANONICAL_COLUMNS) + ([DESTINATION_PORT_COLUMN] if include_port else [])
-    own = isinstance(target, (str, Path))
-    stream = open(target, "w", encoding="utf-8", newline="") if own else target
-    try:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        for record in records:
-            writer.writerow(record_to_row(record, include_port))
-    finally:
-        if own:
-            stream.close()
+    writer = csv.writer(target, lineterminator="\n")
+    writer.writerow(header)
+    for record in records:
+        writer.writerow(record_to_row(record, include_port))
 
 
 def compute_iat(flows: list[FlowRecord]) -> list[FlowRecord]:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import flowsieve
@@ -50,6 +51,103 @@ def _rewrite_csv(source, target, edit):
     target.parent.mkdir(parents=True, exist_ok=True)
     with open(target, "w", newline="") as stream:
         csv.writer(stream, lineterminator="\n").writerows([header, *rows])
+
+
+def _set(artifact, key, value):
+    def edit(payloads):
+        payloads[artifact][key] = value
+
+    return edit
+
+
+def _edit_filter2(edit):
+    return lambda payloads: edit(payloads["filter2.json"])
+
+
+def _edit_recipe(edit):
+    return lambda payloads: edit(payloads["filter1.json"]["recipe"])
+
+
+def _single_layer_under_bottleneck(payloads):
+    payloads["filter1.json"].update(layer_dims=[25, 25], weights=[np.eye(25).tolist()], biases=[[0.0] * 25])
+    payloads["filter2.json"]["feature_space"] = "ae_bottleneck"
+
+
+def _equal_width_layers(payloads):
+    # shapes agree with layer_dims, but not the 100-50-25-50-100% network
+    eye = np.eye(25).tolist()
+    payloads["filter1.json"].update(layer_dims=[25] * 5, weights=[eye] * 4, biases=[[0.0] * 25] * 4)
+
+
+def _pca_basis(**changes):
+    def edit(payloads):
+        basis = {"mean": [0.0] * 25, "components": np.eye(25).tolist(),
+                 "explained_variance_ratio": [0.04] * 25, "retained": 25}
+        payloads["filter2.json"].update(feature_space="pca", pca_basis={**basis, **changes})
+
+    return edit
+
+
+def _zero_std(filter2):
+    centroids = filter2["centroids"]
+    filter2.update(distance_mode="normalized_euclidean", per_cluster_mean=centroids,
+                   per_cluster_std=[[0.0] * len(row) for row in centroids])
+
+
+def _first_weight_nan(payloads):
+    payloads["filter1.json"]["weights"][0][0][0] = float("nan")
+
+
+# Model files that loaded and then crashed detect (exit 1) or gave verdicts
+# with exit 0; each must exit 2 naming the key. (edit, key) by case.
+MALFORMED_MODELS = {
+    "thresholds-not-numbers": (
+        _edit_filter2(lambda f2: f2.update(per_cluster_thresholds=["x"] * f2["k_star"])),
+        "per_cluster_thresholds",
+    ),
+    "silhouette-value-x": (_set("filter2.json", "silhouette_by_k", {"2": "x"}), "silhouette_by_k"),
+    "silhouette-list": (_set("filter2.json", "silhouette_by_k", [1, 2]), "silhouette_by_k"),
+    "notes-5": (_set("filter2.json", "notes", 5), "notes"),
+    "th-frequent-x": (_set("filter1.json", "th_frequent", "x"), "th_frequent"),
+    "history-x": (_set("filter1.json", "training_history", ["x"]), "training_history"),
+    "vocabularies-lack-feature": (
+        _edit_recipe(lambda recipe: recipe["vocabularies"].pop("reputation_status")),
+        "vocabularies",
+    ),
+    "single-layer-bottleneck": (_single_layer_under_bottleneck, "layer_dims"),
+    "pca-mean-short": (_pca_basis(mean=[0.0] * 24), "mean"),
+    "th-frequent-nan": (_set("filter1.json", "th_frequent", float("nan")), "th_frequent"),
+    "th-frequent-inf": (_set("filter1.json", "th_frequent", float("inf")), "th_frequent"),
+    "weight-nan": (_first_weight_nan, "weights"),
+    "thresholds-nan": (
+        _edit_filter2(lambda f2: f2.update(per_cluster_thresholds=[float("nan")] * f2["k_star"])),
+        "per_cluster_thresholds",
+    ),
+    "k-star-fractional": (_edit_filter2(lambda f2: f2.update(k_star=f2["k_star"] + 0.7)), "k_star"),
+    "std-zero": (_edit_filter2(_zero_std), "per_cluster_std"),
+    "columns-renamed": (
+        _edit_recipe(lambda recipe: recipe["columns"].__setitem__(0, "protocol_identifier=bogus")),
+        "columns",
+    ),
+    "numeric-stats-lack-feature": (
+        _edit_recipe(lambda recipe: recipe["numeric_stats"].pop("avg_packet_size")),
+        "numeric_stats",
+    ),
+    "numeric-stats-min-above-max": (
+        _edit_recipe(lambda recipe: recipe["numeric_stats"].update(octet_delta_count=[5.0, 1.0])),
+        "numeric_stats",
+    ),
+    "equal-width-layers": (_equal_width_layers, "layer_dims"),
+    "pca-components-narrow": (_pca_basis(components=[[1.0] * 24] * 25), "components"),
+    "pca-ratios-short": (_pca_basis(explained_variance_ratio=[0.04] * 24), "explained_variance_ratio"),
+    "pca-retained-above-width": (_pca_basis(retained=26), "retained"),
+    "pca-basis-null": (_edit_filter2(lambda f2: f2.update(feature_space="pca")), "pca_basis"),
+    "pca-basis-narrower-than-recipe": (
+        _pca_basis(mean=[0.0] * 24, components=np.eye(24).tolist(),
+                   explained_variance_ratio=[1 / 24] * 24, retained=24),
+        "pca_basis",
+    ),
+}
 
 
 class TestPipelineComposability:
@@ -243,13 +341,17 @@ class TestErrorPaths:
             assert b"9" * 401 not in partition
 
     def _detect_with_edited_filter2(self, workdir, tmp_path, edit, artifact="filter2.json"):
+        return self._detect_with_edited_models(workdir, tmp_path, lambda payloads: edit(payloads[artifact]))
+
+    def _detect_with_edited_models(self, workdir, tmp_path, edit):
+        """detect --mode per-cluster after edit({file name: payload}) of both models."""
         models = tmp_path / "models"
         models.mkdir()
-        for name in ("filter1.json", "filter2.json"):
-            (models / name).write_bytes((workdir / "models" / name).read_bytes())
-        payload = json.loads((models / artifact).read_text())
-        edit(payload)
-        (models / artifact).write_text(json.dumps(payload))
+        names = ("filter1.json", "filter2.json")
+        payloads = {name: json.loads((workdir / "models" / name).read_text()) for name in names}
+        edit(payloads)
+        for name in names:
+            (models / name).write_text(json.dumps(payloads[name]))
         return main(
             [
                 "detect",
@@ -275,6 +377,23 @@ class TestErrorPaths:
     @pytest.mark.parametrize("key", ["k_star", "centroids", "distance_mode", "feature_space"])
     def test_filter2_missing_key_is_schema_error(self, workdir, tmp_path, key):
         assert self._detect_with_edited_filter2(workdir, tmp_path, lambda p: p.pop(key)) == 2
+
+    @pytest.mark.parametrize("edit, key", MALFORMED_MODELS.values(), ids=MALFORMED_MODELS.keys())
+    def test_malformed_model_value_is_schema_error(self, workdir, tmp_path, capsys, edit, key):
+        assert self._detect_with_edited_models(workdir, tmp_path, edit) == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error: ") and f"invalid {key}:" in error
+
+    def test_model_file_that_is_not_json_is_schema_error(self, workdir, tmp_path, capsys):
+        models = tmp_path / "models"
+        models.mkdir()
+        (models / "filter1.json").write_text('{"schema_version": 1, "layer_dims": [25, 13')
+        (models / "filter2.json").write_bytes((workdir / "models" / "filter2.json").read_bytes())
+        out = tmp_path / "verdicts.csv"
+        argv = ["detect", "--models", str(models), "--input", str(workdir / "data" / "test.csv")]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "filter1.json is not JSON" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["distance_mode", "feature_space"])
     def test_filter2_unknown_enum_value_is_schema_error(self, workdir, tmp_path, key):
@@ -305,10 +424,13 @@ class TestErrorPaths:
         assert "biases[2] must have shape" in capsys.readouterr().err
 
     def test_filter1_recipe_dimension_is_checked(self, workdir, tmp_path, capsys):
-        def drop_recipe_column(payload):
-            payload["recipe"]["columns"] = payload["recipe"]["columns"][:-1]
+        def drop_vocabulary_value(payload):
+            # the recipe agrees with itself but encodes one column fewer
+            recipe = payload["recipe"]
+            dropped = recipe["vocabularies"]["protocol_identifier"].pop()
+            recipe["columns"].remove(f"protocol_identifier={dropped}")
 
-        assert self._detect_with_edited_filter1(workdir, tmp_path, drop_recipe_column) == 2
+        assert self._detect_with_edited_filter1(workdir, tmp_path, drop_vocabulary_value) == 2
         assert "layer_dims[0]" in capsys.readouterr().err
 
     def test_detect_refuses_rows_without_inter_arrival_time(self, workdir, tmp_path, capsys):
