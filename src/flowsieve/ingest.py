@@ -160,13 +160,28 @@ def parse_dataset(source: Union[str, Path, bytes]) -> tuple[list[FlowRecord], Pa
     Every well-formed row becomes a FlowRecord; malformed rows are counted
     with a reason. An integer cell beyond float range is malformed too
     (`numeric <column> beyond float range`), so every row that parses can
-    be encoded. A missing mandatory column or an empty stream raises
-    SchemaError.
+    be encoded. A missing mandatory column, an empty stream or bytes that
+    are not UTF-8 raise SchemaError.
     """
-    if isinstance(source, bytes):
-        return _parse_stream(io.StringIO(source.decode("utf-8")))
-    with open(source, "r", encoding="utf-8", newline="") as stream:
-        return _parse_stream(stream)
+    try:
+        if isinstance(source, bytes):
+            return _parse_stream(io.StringIO(source.decode("utf-8")))
+        with open(source, "r", encoding="utf-8", newline="") as stream:
+            return _parse_stream(stream)
+    except UnicodeDecodeError:
+        raise SchemaError(_not_utf8(source)) from None
+
+
+def _not_utf8(source: Union[str, Path, bytes]) -> str:
+    # A decoding stream reports offsets within its current buffer, so the
+    # file's own offset comes from decoding its bytes whole.
+    data = source if isinstance(source, bytes) else Path(source).read_bytes()
+    name = "input" if isinstance(source, bytes) else str(source)
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return f"{name} is not UTF-8: invalid byte at offset {exc.start}"
+    return f"{name} is not UTF-8"
 
 
 # Columns a row is read from, in the order _row_to_record takes them.

@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -9,11 +10,12 @@ import numpy as np
 import pytest
 
 import flowsieve
-from flowsieve import ingest, pipeline
+from flowsieve import clustering, ingest, pipeline
 from flowsieve.autoencoder import Filter1Model
 from flowsieve.cli import _write_outputs, main
 from flowsieve.clustering import Filter2Model
 from flowsieve.config import PipelineConfig
+from flowsieve.errors import DegenerateDataError
 from flowsieve.metrics import build_eval_report, pr_curve, verdict_scores
 from flowsieve.records import ATTACK_CLASSES
 
@@ -51,6 +53,15 @@ def _rewrite_csv(source, target, edit):
     target.parent.mkdir(parents=True, exist_ok=True)
     with open(target, "w", newline="") as stream:
         csv.writer(stream, lineterminator="\n").writerows([header, *rows])
+
+
+def _run_cli(cwd, argv):
+    """The CLI in a process of its own, so a traceback would reach stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(flowsieve.__file__).parent.parent)}
+    return subprocess.run(
+        [sys.executable, "-m", "flowsieve.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+    )
 
 
 def _set(artifact, key, value):
@@ -286,16 +297,19 @@ class TestErrorPaths:
         ids=["ingest-split-a11", "synth-split-1x1", "synth-split-11", "sweep-sizes-10abc"],
     )
     def test_malformed_split_or_sizes_is_usage_error(self, tmp_path, argv):
-        # in a process of its own, so a traceback would reach stderr
-        env = {**os.environ, "PYTHONPATH": str(Path(flowsieve.__file__).parent.parent)}
-        done = subprocess.run(
-            [sys.executable, "-m", "flowsieve.cli", *argv],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
-        )
+        done = _run_cli(tmp_path, argv)
         assert done.returncode == 1
         assert done.stderr.startswith("error:")
         assert "Traceback" not in done.stderr
         assert not any(tmp_path.iterdir())
+
+    def test_non_utf8_input_is_schema_error(self, tmp_path):
+        capture = tmp_path / "capture.csv"
+        capture.write_bytes(b"flow_start_day\n\xff\xfe\n")
+        done = _run_cli(tmp_path, ["ingest", "--input", "capture.csv", "--outdir", "data"])
+        assert done.returncode == 2
+        assert done.stderr == "error: capture.csv is not UTF-8: invalid byte at offset 15\n"
+        assert list(tmp_path.iterdir()) == [capture]
 
     def test_split_of_zero_days_is_usage_error(self, workdir, tmp_path, capsys):
         argv = ["ingest", "--input", str(workdir / "synthetic.csv"), "--outdir", str(tmp_path / "data")]
@@ -304,6 +318,27 @@ class TestErrorPaths:
         assert main(["synth", "--out", str(tmp_path / "capture.csv"), "--split", "1,-1,1"]) == 1
         assert capsys.readouterr().err.startswith("error: argument --split: ")
         assert not any(tmp_path.iterdir())
+
+    def test_a_sweep_worker_error_exits_as_on_one_cpu(self, workdir, tmp_path, monkeypatch, capsys):
+        real = clustering.kmeans_fit
+
+        def fit(matrix, k, seed, restarts=clustering.KMEANS_RESTARTS):
+            if k == 19:
+                raise DegenerateDataError("no fit at k=19")
+            return real(matrix, k, seed, restarts)
+
+        monkeypatch.setattr(clustering, "kmeans_fit", fit)
+        monkeypatch.setattr(clustering, "_POOL_MIN_ROW_FITS", 0)
+        errors = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)), raising=False)
+            models = tmp_path / f"models-{cpus}"
+            argv = ["train", "--data", str(workdir / "data"), "--outdir", str(models), "--set", "pctl_frequent=95"]
+            assert main(argv) == 3
+            assert not models.exists() or not any(models.iterdir())
+            assert multiprocessing.active_children() == []
+            errors.append(capsys.readouterr().err)
+        assert errors == ["error: no fit at k=19\n"] * 2
 
     def test_missing_input_is_data_error(self, tmp_path):
         assert (

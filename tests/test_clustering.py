@@ -1,9 +1,12 @@
 import math
+import multiprocessing
+import os
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowsieve import clustering
@@ -332,6 +335,141 @@ class TestExactness:
         assert got.inertia == want.inertia
 
 
+def _usable_cpus(monkeypatch, count):
+    """Let the k sweep see `count` usable CPUs whatever the host has, or
+    none of `os.sched_getaffinity` when `count` is None."""
+    if count is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _sweep_case(case: str):
+    rng = np.random.default_rng(24)
+    if case == "exact":
+        x, _ = _blobs(rng, [(0.0, 0.0), (6.0, 0.0), (0.0, 6.0)], per_blob=30)
+        return x, dict(k_max=8, rng_seed=3)
+    if case == "sampled":
+        # one blob and a far-off pair: at k=2 a 20-row sample that misses
+        # the pair holds one cluster
+        x = np.vstack([rng.normal(scale=0.1, size=(200, 2)), [[100.0, 100.0], [100.0, 100.1]]])
+        seed = next(
+            s
+            for s in range(100)
+            if (derive_rng(s, TAG_SILHOUETTE_SAMPLE, 2).choice(202, size=20, replace=False) < 200).all()
+        )
+        return x, dict(k_max=5, silhouette_sample_max=20, rng_seed=seed)
+    # fewer rows than k_max, and at k=2 a 4-row sample that holds one cluster
+    return rng.normal(size=(6, 3)), dict(k_max=20, silhouette_sample_max=4, rng_seed=4)
+
+
+class TestParallelSweep:
+    """The k sweep gives the same bits on one CPU as on a pool of workers."""
+
+    NOTES = {
+        "exact": [],
+        "sampled": ["at k=2: the seeded sample held one cluster", "seeded sample of 20 rows"],
+        "shrunk": ["k_max shrunk to 6", "at k=2: the seeded sample held one cluster", "seeded sample of 4 rows"],
+    }
+
+    @pytest.mark.parametrize("mode", list(DistanceMode))
+    @pytest.mark.parametrize("case", list(NOTES))
+    def test_one_cpu_and_a_pool_give_the_same_model(self, monkeypatch, case, mode):
+        x, fields = _sweep_case(case)
+        config = PipelineConfig(k_min=2, distance_mode=mode, **fields)
+        ks = range(2, min(config.k_max, len(x)) + 1)
+        seed, cap = config.rng_seed, config.silhouette_sample_max
+        real_fit = clustering.kmeans_fit
+        runs = {}
+        for cpus in (None, 1, 3):
+            _usable_cpus(monkeypatch, cpus)
+            if cpus == 3:
+                monkeypatch.setattr(clustering, "_POOL_MIN_ROW_FITS", 0)
+                pids = self._fit_pids(monkeypatch)
+            model = clustering.train_filter2(x, config)
+            runs[cpus] = model, clustering._fit_every_k(x, ks, seed, cap)
+            assert multiprocessing.active_children() == []
+        assert pids == []  # every pooled fit ran in a worker
+        model, fits = runs[3]
+        for phrase in self.NOTES[case]:
+            assert any(phrase in note for note in model.notes), phrase
+        # the sweep as one loop in the calling process
+        serial = {k: real_fit(x, k, clustering.seed_for_k(seed, k)) for k in ks}
+        notes = [] if len(x) >= config.k_max else [f"k_max shrunk to {len(x)}: fewer rows than the configured maximum"]
+        if len(x) > cap:
+            scores = [clustering._sampled_silhouette(x, serial[k].assignments, seed, k, cap, notes) for k in ks]
+            notes.append(f"silhouette scored on a seeded sample of {cap} rows")
+        else:
+            scores = clustering.silhouette_means(x, [serial[k].assignments for k in ks])
+        assert model.silhouette_by_k == dict(zip(ks, scores))
+        assert model.notes[: len(notes)] == notes
+        for other, other_fits in (runs[None], runs[1]):
+            assert other.to_json() == model.to_json()
+            assert other.silhouette_by_k == model.silhouette_by_k
+            assert other.notes == model.notes
+            assert np.array_equal(other.centroids, model.centroids)
+            for k in ks:
+                assert other_fits[k][1:] == fits[k][1:]  # sampled score and notes
+                for result in (other_fits[k][0], fits[k][0]):
+                    assert np.array_equal(result.centroids, serial[k].centroids)
+                    assert np.array_equal(result.assignments, serial[k].assignments)
+                    assert result.inertia == serial[k].inertia
+
+    def test_a_small_sweep_fits_in_place(self, monkeypatch):
+        _usable_cpus(monkeypatch, 3)
+        x, _ = _sweep_case("exact")
+        assert len(x) * 7 < clustering._POOL_MIN_ROW_FITS
+        pids = self._fit_pids(monkeypatch)
+        clustering.train_filter2(x, PipelineConfig(k_max=8))
+        assert pids == [os.getpid()] * 7
+
+    def test_a_process_with_threads_fits_in_place(self, monkeypatch):
+        _usable_cpus(monkeypatch, 3)
+        monkeypatch.setattr(clustering, "_POOL_MIN_ROW_FITS", 0)
+        pids = self._fit_pids(monkeypatch)
+        x, _ = _sweep_case("exact")
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            clustering.train_filter2(x, PipelineConfig(k_max=8))
+        finally:
+            release.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+        assert pids == [os.getpid()] * 7
+
+    @staticmethod
+    def _fit_pids(monkeypatch) -> list[int]:
+        """Process ids of the k-means fits, as the calling process records
+        them: a fit in a worker records into the worker's copy."""
+        pids, real = [], clustering.kmeans_fit
+
+        def fit(*args, **kwargs):
+            pids.append(os.getpid())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(clustering, "kmeans_fit", fit)
+        return pids
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_a_worker_error_reaches_the_caller_and_no_worker_outlives_it(self, monkeypatch, cpus):
+        _usable_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(clustering, "_POOL_MIN_ROW_FITS", 0)
+        real = clustering.kmeans_fit
+
+        def fit(matrix, k, seed, restarts=clustering.KMEANS_RESTARTS):
+            if k == 4:
+                raise DegenerateDataError("no fit at k=4")
+            return real(matrix, k, seed, restarts)
+
+        monkeypatch.setattr(clustering, "kmeans_fit", fit)
+        x, _ = _sweep_case("exact")
+        with pytest.raises(DegenerateDataError, match="no fit at k=4"):
+            clustering.train_filter2(x, PipelineConfig(k_max=8))
+        assert multiprocessing.active_children() == []
+
+
 def dense_silhouette_means(x: np.ndarray, assignment_sets) -> list[float]:
     """`silhouette_means` as it was before the symmetric distance matrix:
     a fresh (512, n, d) difference tensor per chunk, every pair computed
@@ -527,12 +665,18 @@ class TestScoreAndClassify:
 
     @settings(max_examples=100, deadline=None)
     @given(
-        st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
-        st.floats(min_value=0.01, max_value=5.0, allow_nan=False),
+        distance=st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+        threshold=st.floats(min_value=0.01, max_value=5.0, allow_nan=False),
     )
-    def test_tanh_equivalence_property(self, distance, threshold):
-        # (distance < th) iff (tanh(distance) < tanh(th)): tanh is strictly increasing
-        assert (distance < threshold) == (math.tanh(distance) < math.tanh(threshold))
+    # tanh rounds neighbouring doubles to one value: tanh(5 - ulp) == tanh(5)
+    @example(distance=4.999999999999999, threshold=5.0)
+    def test_tanh_comparison_follows_distance_comparison(self, distance, threshold):
+        # tanh is increasing, but rounded to doubles only non-decreasing, so a
+        # strict tanh comparison implies the distance one and not conversely
+        if math.tanh(distance) < math.tanh(threshold):
+            assert distance < threshold
+        if distance < threshold:
+            assert math.tanh(distance) <= math.tanh(threshold)
 
     def test_per_cluster_vs_tanh_space_invariance(self):
         rng = np.random.default_rng(16)

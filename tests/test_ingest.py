@@ -27,6 +27,17 @@ class TestParseDataset:
         with pytest.raises(SchemaError):
             ingest.parse_dataset(b"")
 
+    def test_non_utf8_bytes_are_schema_error_naming_the_offset(self, tmp_path):
+        header = (",".join(ingest.CANONICAL_COLUMNS) + "\n").encode("utf-8")
+        with pytest.raises(SchemaError, match=f"input is not UTF-8: invalid byte at offset {len(header)}"):
+            ingest.parse_dataset(header + b"\xff\xfe\n")
+        # past the first buffer a file is decoded in, the offset is still the file's
+        data = header + b"x\n" * 10_000 + b"\xff\n"
+        path = tmp_path / "capture.csv"
+        path.write_bytes(data)
+        with pytest.raises(SchemaError, match=f"capture.csv is not UTF-8: invalid byte at offset {len(data) - 2}"):
+            ingest.parse_dataset(path)
+
     def test_missing_mandatory_column_is_schema_error(self):
         columns = [c for c in ingest.CANONICAL_COLUMNS if c != "packet_delta_count"]
         header = ",".join(columns) + "\n"
