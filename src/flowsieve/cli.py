@@ -24,7 +24,14 @@ from . import ingest, pipeline
 from .autoencoder import Filter1Model
 from .clustering import Filter2Model
 from .config import PipelineConfig, load_config_file
-from .errors import ConfigError, DataError, FlowSieveError, NumericError, SchemaError
+from .errors import (
+    ConfigError,
+    DataError,
+    FlowSieveError,
+    NumericError,
+    SchemaError,
+    not_utf8_message,
+)
 from .experiments import run_benchmark, run_grid, sensitivity_sweep
 from .metrics import (
     ScenarioOutcome,
@@ -199,7 +206,8 @@ def _cmd_ingest(args) -> int:
     if not records:
         raise DataError("no parseable rows in input")
     # A capture lacks the first inter-arrival time of every device, so this
-    # recomputes all of them and overwrites those the input carried.
+    # recomputes all of them; a flow carrying a different value gets the
+    # computed one, and a flow already carrying it passes through as it is.
     needs_iat = any(r.inter_arrival_time_milliseconds is None for r in records)
     if needs_iat:
         records = ingest.compute_iat(records)
@@ -407,19 +415,23 @@ def _not_nan_float(text: str) -> float:
 def _read_verdict_csv(path: Path):
     """The verdict table and actual labels of a file detect wrote; a
     missing column or a cell that does not parse is a data error naming
-    its line and column. Cluster cells of frequent rows are not read."""
-    with open(path, "r", encoding="utf-8", newline="") as stream:
-        reader = csv.reader(stream)
-        header = next(reader, [])
-        position = {column: i for i, column in enumerate(header)}
-        missing = [column for column in VERDICT_HEADER if column not in position]
-        if missing:
-            raise DataError(f"verdict file {path} lacks column(s) {', '.join(missing)}")
-        rows, lines = [], []
-        for row in reader:
-            if row:
-                rows.append(row + [""] * (len(header) - len(row)))
-                lines.append(reader.line_num)
+    its line and column, and so is a file that is not UTF-8. Cluster
+    cells of frequent rows are not read."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as stream:
+            reader = csv.reader(stream)
+            header = next(reader, [])
+            position = {column: i for i, column in enumerate(header)}
+            missing = [column for column in VERDICT_HEADER if column not in position]
+            if missing:
+                raise DataError(f"verdict file {path} lacks column(s) {', '.join(missing)}")
+            rows, lines = [], []
+            for row in reader:
+                if row:
+                    rows.append(row + [""] * (len(header) - len(row)))
+                    lines.append(reader.line_num)
+    except UnicodeDecodeError:
+        raise DataError(not_utf8_message(path)) from None
 
     def column(name: str, parse, where=range(len(rows))) -> list:
         at = position[name]

@@ -96,6 +96,8 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray) -> KMeansResu
     k = centroids.shape[0]
     centroids = centroids.copy()
     rows = np.arange(n)
+    # The assignments the current centroids are the means of.
+    previous = None
     for _ in range(KMEANS_MAX_ITER):
         sq = pairwise_sq_dists(x, centroids, x_sq)
         assignments = sq.argmin(axis=1)
@@ -111,6 +113,10 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray) -> KMeansResu
             sq = pairwise_sq_dists(x, centroids, x_sq)
             assignments = sq.argmin(axis=1)
             counts = np.bincount(assignments, minlength=k)
+        elif previous is not None and np.array_equal(assignments, previous):
+            # The update would rebuild these centroids bit for bit and stop
+            # on a zero shift, and the final pass would repeat `sq`.
+            return KMeansResult(centroids, assignments, float(sq[rows, assignments].sum()))
         # A stable sort lays each cluster's rows out contiguously in index
         # order, so reducing its slice adds the same rows in the same order
         # as the mean over a boolean mask would: the centroids are
@@ -123,7 +129,10 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray) -> KMeansResu
         for c, count in enumerate(counts.tolist()):
             start, stop = stop, stop + count
             if count:
-                new_centroids[c] = np.add.reduce(grouped[start:stop], axis=0) / count
+                np.add.reduce(grouped[start:stop], axis=0, out=new_centroids[c])
+        filled = counts > 0
+        new_centroids[filled] /= counts[filled, None]
+        previous = assignments
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
         if shift < KMEANS_SHIFT_TOL:

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Optional
 
 from .artifact import encode_value
-from .errors import ConfigError
+from .errors import ConfigError, not_utf8_message
 
 
 class IpTreatment(Enum):
@@ -138,10 +138,14 @@ def load_config_file(path: str | Path) -> PipelineConfig:
     """Read a flat key=value configuration file.
 
     Blank lines and lines starting with '#' are ignored; keys mirror the
-    PipelineConfig field names.
+    PipelineConfig field names. A file that is not UTF-8 is a
+    ConfigError naming the offset of its first invalid byte.
     """
     updates: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ConfigError(not_utf8_message(path)) from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -1,8 +1,13 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the message for
+input that is not UTF-8.
 
 The CLI maps these onto exit codes: usage/configuration errors exit 1,
 data/schema errors exit 2, numeric failures exit 3.
 """
+from __future__ import annotations
+
+from pathlib import Path
+from typing import Union
 
 
 class FlowSieveError(Exception):
@@ -28,3 +33,16 @@ class NumericError(FlowSieveError):
 class DegenerateDataError(NumericError):
     """Input admits no meaningful fit (e.g. all rows identical)."""
 
+
+def not_utf8_message(source: Union[str, Path, bytes]) -> str:
+    """The error message for a file, or input bytes, that is not UTF-8,
+    naming the offset of its first invalid byte."""
+    # A decoding stream reports offsets within its current buffer, so the
+    # file's own offset comes from decoding its bytes whole.
+    data = source if isinstance(source, bytes) else Path(source).read_bytes()
+    name = "input" if isinstance(source, bytes) else str(source)
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return f"{name} is not UTF-8: invalid byte at offset {exc.start}"
+    return f"{name} is not UTF-8"

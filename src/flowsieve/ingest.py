@@ -17,7 +17,7 @@ from math import isfinite
 from pathlib import Path
 from typing import IO, Iterable, Optional, Union
 
-from .errors import DataError, SchemaError
+from .errors import DataError, SchemaError, not_utf8_message
 from .records import (
     FlowRecord,
     LabelClass,
@@ -169,19 +169,7 @@ def parse_dataset(source: Union[str, Path, bytes]) -> tuple[list[FlowRecord], Pa
         with open(source, "r", encoding="utf-8", newline="") as stream:
             return _parse_stream(stream)
     except UnicodeDecodeError:
-        raise SchemaError(_not_utf8(source)) from None
-
-
-def _not_utf8(source: Union[str, Path, bytes]) -> str:
-    # A decoding stream reports offsets within its current buffer, so the
-    # file's own offset comes from decoding its bytes whole.
-    data = source if isinstance(source, bytes) else Path(source).read_bytes()
-    name = "input" if isinstance(source, bytes) else str(source)
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        return f"{name} is not UTF-8: invalid byte at offset {exc.start}"
-    return f"{name} is not UTF-8"
+        raise SchemaError(not_utf8_message(source)) from None
 
 
 # Columns a row is read from, in the order _row_to_record takes them.
@@ -370,7 +358,8 @@ def compute_iat(flows: list[FlowRecord]) -> list[FlowRecord]:
     """Fill inter-arrival times per device: flow_start(t) - flow_start(t-1).
 
     The first flow of each device gets an absent IAT. Input order is
-    preserved in the returned list.
+    preserved in the returned list. A flow that already carries the
+    computed IAT is returned as it is; any other is copied with it.
     """
     starts = [flow.flow_start for flow in flows]
     order: dict[int, list[int]] = {}
@@ -386,7 +375,9 @@ def compute_iat(flows: list[FlowRecord]) -> list[FlowRecord]:
             result[i] = start - previous
             previous = start
     return [
-        copy_record(flow, inter_arrival_time_milliseconds=iat)
+        flow
+        if flow.inter_arrival_time_milliseconds == iat
+        else copy_record(flow, inter_arrival_time_milliseconds=iat)
         for flow, iat in zip(flows, result)
     ]
 
@@ -533,7 +524,8 @@ def partition_chronologically(
     Day boundaries are aligned to the absolute day index of the earliest
     flow. The selection strategy is enforced here as well: test keeps only
     lab-network flows, training and validation keep only non-lab flows
-    with an assumed-benign label.
+    with an assumed-benign label. A kept flow already tagged with its
+    partition is kept as it is; any other is copied with the tag.
     """
     if not flows:
         raise DataError("cannot partition an empty flow list")
@@ -563,7 +555,7 @@ def partition_chronologically(
             if flow.source_network_id != lab_network_id:
                 dropped["non-lab flow in test window"] += 1
                 continue
-            test.append(copy_record(flow, partition=PartitionTag.TEST))
+            test.append(_tagged(flow, PartitionTag.TEST))
             continue
         if flow.source_network_id == lab_network_id:
             dropped["lab flow outside test window"] += 1
@@ -572,7 +564,11 @@ def partition_chronologically(
             dropped["attack label outside test window"] += 1
             continue
         if day >= train_end:
-            validation.append(copy_record(flow, partition=PartitionTag.VALIDATION))
+            validation.append(_tagged(flow, PartitionTag.VALIDATION))
         else:
-            training.append(copy_record(flow, partition=PartitionTag.TRAINING))
+            training.append(_tagged(flow, PartitionTag.TRAINING))
     return PartitionResult(training, validation, test, dropped)
+
+
+def _tagged(flow: FlowRecord, tag: PartitionTag) -> FlowRecord:
+    return flow if flow.partition is tag else copy_record(flow, partition=tag)

@@ -311,6 +311,22 @@ class TestErrorPaths:
         assert done.stderr == "error: capture.csv is not UTF-8: invalid byte at offset 15\n"
         assert list(tmp_path.iterdir()) == [capture]
 
+    @pytest.mark.parametrize(
+        "name, argv, code",
+        [
+            ("verdicts.csv", ["eval", "--verdicts", "verdicts.csv", "--out", "eval.json"], 2),
+            ("run.conf", ["train", "--config", "run.conf", "--data", "data", "--outdir", "models"], 1),
+        ],
+        ids=["eval-verdicts", "train-config"],
+    )
+    def test_non_utf8_verdict_or_config_file_is_an_error_naming_the_offset(self, tmp_path, name, argv, code):
+        path = tmp_path / name
+        path.write_bytes(b"k_min=2\n\xff\xfe\n")
+        done = _run_cli(tmp_path, argv)
+        assert done.returncode == code
+        assert done.stderr == f"error: {name} is not UTF-8: invalid byte at offset 8\n"
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_split_of_zero_days_is_usage_error(self, workdir, tmp_path, capsys):
         argv = ["ingest", "--input", str(workdir / "synthetic.csv"), "--outdir", str(tmp_path / "data")]
         assert main(argv + ["--split", "0,1,1"]) == 1

@@ -223,8 +223,10 @@ class TestTrainFilter2:
 
 
 def masked_mean_lloyd(x: np.ndarray, centroids: np.ndarray) -> clustering.KMeansResult:
-    """Lloyd's iteration with per-cluster boolean-mask means, the reference
-    the sorted-slice centroid update must reproduce bit for bit."""
+    """Lloyd's iteration with per-cluster boolean-mask means, updating until
+    the shift falls below the tolerance and then making a final assignment
+    pass: the reference that the sorted-slice centroid update and the stop
+    at a repeated assignment must reproduce bit for bit."""
     n, _ = x.shape
     k = centroids.shape[0]
     centroids = centroids.copy()
@@ -288,6 +290,35 @@ def one_clustering_silhouette(x: np.ndarray, assignments: np.ndarray) -> float:
     return float(scores.mean())
 
 
+@st.composite
+def lloyd_starts(draw):
+    """A matrix and starting centroids: continuous values, a small integer
+    grid (exact ties and duplicate rows) or a few rows repeated; seeded
+    k-means++ starts, starts at a far-off point (empty clusters to reseed)
+    or all at one row."""
+    d = draw(st.sampled_from([1, 25, 30, 40]))
+    k = draw(st.integers(2, 8))
+    n = draw(st.integers(k, 90))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = draw(st.sampled_from(["normal", "grid", "repeated"]))
+    if values == "normal":
+        x = rng.normal(size=(n, d)) * rng.uniform(0.01, 50)
+    elif values == "grid":
+        x = rng.integers(0, 3, size=(n, d)).astype(float)
+    else:
+        distinct = rng.normal(size=(int(rng.integers(1, k + 2)), d))
+        x = distinct[rng.integers(0, distinct.shape[0], size=n)]
+    start = draw(st.sampled_from(["plus_plus", "far", "one_row"]))
+    if start == "plus_plus":
+        init = clustering._plus_plus_init(x, k, rng, np.einsum("ij,ij->i", x, x))
+    elif start == "far":
+        init = x[rng.integers(0, n, size=k)].copy()
+        init[rng.integers(0, k) :] = 1e3
+    else:
+        init = np.repeat(x[rng.integers(0, n)][None, :], k, axis=0)
+    return x, init
+
+
 class TestExactness:
     """The fast paths must equal the straightforward computations exactly."""
 
@@ -326,12 +357,20 @@ class TestExactness:
         assert (pairwise_sq_dists(x, init).argmin(axis=1) != 3).all()
         self._assert_same_run(x, init)
 
+    @settings(max_examples=150, deadline=None)
+    @given(start=lloyd_starts(), max_iter=st.sampled_from([None, 1, 2, 3]))
+    def test_lloyd_equals_masked_mean_lloyd_on_ties_duplicates_and_capped_runs(self, start, max_iter):
+        with pytest.MonkeyPatch.context() as patch:
+            if max_iter is not None:
+                patch.setattr(clustering, "KMEANS_MAX_ITER", max_iter)
+            self._assert_same_run(*start)
+
     @staticmethod
     def _assert_same_run(x, init):
         got = clustering._lloyd(x, init, np.einsum("ij,ij->i", x, x))
         want = masked_mean_lloyd(x, init)
-        assert np.array_equal(got.centroids, want.centroids)
-        assert np.array_equal(got.assignments, want.assignments)
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+        assert got.assignments.tobytes() == want.assignments.tobytes()
         assert got.inertia == want.inertia
 
 

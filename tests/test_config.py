@@ -144,6 +144,13 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             load_config_file(path)
 
+    def test_non_utf8_file_is_config_error_naming_the_offset(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_bytes(b"pctl_frequent=70\n# \xe9t\xe9\n")
+        with pytest.raises(ConfigError) as raised:
+            load_config_file(path)
+        assert str(raised.value) == f"{path} is not UTF-8: invalid byte at offset 19"
+
 
 class TestNearestRankPercentile:
     def test_documented_examples(self):

@@ -9,15 +9,18 @@ reject reasons.
 """
 import csv
 import dataclasses
+import filecmp
 import io
 from collections import Counter
 from typing import Optional
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flowsieve import ingest
+from flowsieve.cli import main
 from flowsieve.errors import SchemaError
 from flowsieve.records import (
     FlowRecord,
@@ -26,6 +29,7 @@ from flowsieve.records import (
     copy_record,
     flow_start_ms,
 )
+from flowsieve.synth import SynthConfig, generate
 
 from conftest import make_record
 
@@ -405,7 +409,7 @@ def ref_preprocess(flows):
     return kept, dropped, zero_filled
 
 
-def ref_partition(flows, split_days, lab_network_id):
+def ref_partition(flows, split_days, lab_network_id, copy=dataclasses.replace):
     first_day = min(flow.day_index for flow in flows)
     train_end = first_day + split_days[0]
     val_end = train_end + split_days[1]
@@ -420,15 +424,15 @@ def ref_partition(flows, split_days, lab_network_id):
             if flow.source_network_id != lab_network_id:
                 dropped["non-lab flow in test window"] += 1
             else:
-                parts["test"].append(dataclasses.replace(flow, partition=PartitionTag.TEST))
+                parts["test"].append(copy(flow, partition=PartitionTag.TEST))
         elif flow.source_network_id == lab_network_id:
             dropped["lab flow outside test window"] += 1
         elif flow.actual_label.is_attack:
             dropped["attack label outside test window"] += 1
         elif day >= train_end:
-            parts["validation"].append(dataclasses.replace(flow, partition=PartitionTag.VALIDATION))
+            parts["validation"].append(copy(flow, partition=PartitionTag.VALIDATION))
         else:
-            parts["training"].append(dataclasses.replace(flow, partition=PartitionTag.TRAINING))
+            parts["training"].append(copy(flow, partition=PartitionTag.TRAINING))
     return parts, dropped
 
 
@@ -500,3 +504,91 @@ class TestStagesMatchReference:
         assert _reprs(result.validation) == _reprs(parts["validation"])
         assert _reprs(result.test) == _reprs(parts["test"])
         assert result.dropped_by_reason == dropped
+
+
+def _mutated(flows, seed):
+    """The flows with the IAT and the partition tag of each row kept,
+    blanked or changed at random, the first row's IAT blanked."""
+    rng = np.random.default_rng(seed)
+    tags = [None, *PartitionTag]
+    out = []
+    for i, flow in enumerate(flows):
+        iat, tag = flow.inter_arrival_time_milliseconds, flow.partition
+        action = rng.integers(3)
+        if action == 1 or i == 0:
+            iat = None
+        elif action == 2:
+            iat = (iat or 0) + int(rng.integers(1, 1000))
+        action = rng.integers(3)
+        if action == 1:
+            tag = None
+        elif action == 2:
+            tag = tags[(tags.index(tag) + int(rng.integers(1, len(tags)))) % len(tags)]
+        out.append(copy_record(flow, inter_arrival_time_milliseconds=iat, partition=tag))
+    return out
+
+
+def _ref_partition_result(flows, split_days, lab_network_id):
+    parts, dropped = ref_partition(flows, split_days, lab_network_id)
+    return ingest.PartitionResult(parts["training"], parts["validation"], parts["test"], dropped)
+
+
+class TestUnchangedFlowsPassThrough:
+    """A flow already holding its computed IAT, or its partition tag, comes
+    back as the same object; any other comes back as a new record."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_compute_iat(self, synth_flows, seed):
+        flows = _mutated(synth_flows, seed)
+        flows = flows[1::2] + flows[::2]
+        got = ingest.compute_iat(flows)
+        want = ref_compute_iat(flows)
+        assert _reprs(got) == _reprs(want)
+        kept = [
+            flow.inter_arrival_time_milliseconds == expected.inter_arrival_time_milliseconds
+            for flow, expected in zip(flows, want)
+        ]
+        assert [out is flow for out, flow in zip(got, flows)] == kept
+        assert 0 < sum(kept) < len(flows)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_partition_chronologically(self, synth_flows, synth_config, seed):
+        flows = _mutated(synth_flows, seed)[::-1]
+        args = (synth_config.split_days, synth_config.lab_network_id)
+        result = ingest.partition_chronologically(flows, *args)
+        parts, dropped = ref_partition(flows, *args)
+        sources, _ = ref_partition(flows, *args, copy=lambda flow, partition: (flow, partition))
+        assert result.dropped_by_reason == dropped
+        kept = 0
+        for name in parts:
+            got = getattr(result, name)
+            assert _reprs(got) == _reprs(parts[name])
+            for out, (flow, tag) in zip(got, sources[name]):
+                assert (out is flow) == (flow.partition is tag)
+                kept += out is flow
+        assert 0 < kept < sum(len(part) for part in parts.values())
+
+    def test_ingest_writes_the_same_files(self, tmp_path, monkeypatch):
+        config = SynthConfig(n_homes=3, days=3, split_days=(1, 1, 1), seed=7)
+        flows = generate(config)
+        captures = {"carried": flows, "mutated": _mutated(flows, 2)}
+        for name, records in captures.items():
+            with open(tmp_path / f"{name}.csv", "w", encoding="utf-8", newline="") as stream:
+                ingest.write_dataset(records, stream)
+
+        def run_ingest(capture, outdir):
+            argv = ["ingest", "--input", str(tmp_path / capture), "--outdir", str(tmp_path / outdir)]
+            assert main([*argv, "--split", "1,1,1", "--lab-network", str(config.lab_network_id)]) == 0
+            return sorted(path.name for path in (tmp_path / outdir).iterdir())
+
+        names = run_ingest("carried.csv", "carried")
+        assert run_ingest("mutated.csv", "mutated") == names
+        monkeypatch.setattr(ingest, "compute_iat", ref_compute_iat)
+        monkeypatch.setattr(ingest, "partition_chronologically", _ref_partition_result)
+        assert run_ingest("carried.csv", "carried-ref") == names
+        assert run_ingest("mutated.csv", "mutated-ref") == names
+        for outdir in ("mutated", "carried-ref", "mutated-ref"):
+            match, mismatch, errors = filecmp.cmpfiles(
+                tmp_path / "carried", tmp_path / outdir, names, shallow=False
+            )
+            assert (match, mismatch, errors) == (names, [], [])
