@@ -9,7 +9,7 @@ no best-weights rollback.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -246,10 +246,6 @@ def set_frequency_threshold(model: Filter1Model, validation: np.ndarray, pctl_fr
     if mses.size == 0:
         raise DataError("cannot calibrate a threshold on an empty validation set")
     return nearest_rank_percentile(mses, pctl_frequent)
-
-
-def with_threshold(model: Filter1Model, th_frequent: float) -> Filter1Model:
-    return replace(model, th_frequent=th_frequent)
 
 
 def classify_frequent_rows(mses: np.ndarray, th_frequent: float) -> np.ndarray:

@@ -34,7 +34,6 @@ from .errors import (
 )
 from .experiments import run_benchmark, run_grid, sensitivity_sweep
 from .metrics import (
-    ScenarioOutcome,
     build_eval_report,
     pr_curve,
     present_scenarios,
@@ -205,6 +204,14 @@ def _cmd_ingest(args) -> int:
     records, parse_report = ingest.parse_dataset(Path(args.input))
     if not records:
         raise DataError("no parseable rows in input")
+    # The test partition keeps only lab flows: a capture whose attacks all
+    # lie elsewhere would give a test partition with no attack to detect.
+    attack_networks = {r.source_network_id for r in records if r.actual_label.is_attack}
+    if attack_networks and args.lab_network not in attack_networks:
+        raise DataError(
+            f"no attack-labeled flow is on --lab-network {args.lab_network}; "
+            f"network(s) {', '.join(map(str, sorted(attack_networks)))} carry them"
+        )
     # A capture lacks the first inter-arrival time of every device, so this
     # recomputes all of them; a flow carrying a different value gets the
     # computed one, and a flow already carrying it passes through as it is.
@@ -229,10 +236,7 @@ def _cmd_ingest(args) -> int:
     report = {
         "schema_version": 1,
         **parse_report.to_dict(),
-        "rows_dropped_by_reason": {
-            **cleanse_report.to_dict()["rows_dropped_by_reason"],
-            **partitions.to_dict()["rows_dropped_by_reason"],
-        },
+        "rows_dropped_by_reason": dict(cleanse_report.dropped_by_reason + partitions.dropped_by_reason),
         "pool_zero_filled": cleanse_report.pool_zero_filled,
         "sanitized_count": sanitized_count,
         "sanitize_min_port_count": config.sanitize_min_port_count,
@@ -241,7 +245,7 @@ def _cmd_ingest(args) -> int:
             "validation": len(partitions.validation),
             "test": len(partitions.test),
         },
-        "notes": cleanse_report.notes,
+        "notes": list(ingest.CLEANSE_NOTES),
     }
     outdir = Path(args.outdir)
     _write_outputs(
@@ -363,7 +367,7 @@ def _cmd_detect(args) -> int:
     return 0
 
 
-def _parse_confusion_tokens(tokens: Sequence[str]) -> ScenarioOutcome:
+def _parse_confusion_tokens(tokens: Sequence[str]) -> dict:
     values = {}
     for token in tokens:
         if "=" not in token:
@@ -379,13 +383,7 @@ def _parse_confusion_tokens(tokens: Sequence[str]) -> ScenarioOutcome:
     missing = {"tp", "fn", "fp", "tn"} - values.keys()
     if missing:
         raise UsageError(f"--from-confusion is missing {', '.join(sorted(missing))}")
-    return ScenarioOutcome(
-        scenario=LabelClass.BEING_SCANNED_BY_NMAP,
-        tp=values["tp"],
-        fp=values["fp"],
-        tn=values["tn"],
-        fn=values["fn"],
-    )
+    return values
 
 
 def _non_negative_float(text: str) -> float:
@@ -514,15 +512,11 @@ def _cmd_grid(args) -> int:
     config = _build_config(args)
     training, validation, test = (_read_partition(Path(args.data) / name) for name in PARTITION_CSVS)
     results = run_grid(training, validation, test, config)
-    payload = {
-        "schema_version": 1,
-        "results": [result.to_dict() for result in results],
-        "best": results[0].to_dict() if results else None,
-    }
-    _write_outputs({Path(args.out): _json_text(payload)})
     best = results[0] if results else None
-    if best is not None and best.report is not None:
-        print(f"best macro-AUPRC {best.macro_auprc:.3f} with {best.config.to_dict()}")
+    payload = {"schema_version": 1, "results": results, "best": best}
+    _write_outputs({Path(args.out): _json_text(payload)})
+    if best is not None and best["macro"] is not None:
+        print(f"best macro-AUPRC {best['macro_auprc']:.3f} with {best['config']}")
     return 0
 
 
@@ -532,15 +526,10 @@ def _cmd_sweep(args) -> int:
     points = sensitivity_sweep(training, validation, test, args.sizes, config)
     rows = [["size", "macro_precision", "macro_recall", "macro_f1", "error"]]
     for point in points:
-        rows.append(
-            [
-                str(point.size),
-                "" if point.macro_precision is None else repr(point.macro_precision),
-                "" if point.macro_recall is None else repr(point.macro_recall),
-                "" if point.macro_f1 is None else repr(point.macro_f1),
-                point.error or "",
-            ]
-        )
+        macro = point["macro"] or {}
+        cells = [point["size"], *(macro.get(key) for key in ("precision", "recall", "f1")), point["error"]]
+        # str of a float is its repr
+        rows.append(["" if cell is None else str(cell) for cell in cells])
     _write_outputs({Path(args.out): _csv_text(rows)})
     print(f"swept {len(points)} sizes")
     return 0

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional, Sequence
 
@@ -519,10 +519,6 @@ def set_cluster_thresholds(
         else:
             thresholds.append(nearest_rank_percentile(member_distances, pctl_known))
     return thresholds
-
-
-def with_thresholds(model: Filter2Model, thresholds: list[float]) -> Filter2Model:
-    return replace(model, per_cluster_thresholds=list(thresholds))
 
 
 def score_and_classify(

@@ -8,7 +8,6 @@ not from reseeding. A failed combination is recorded, never fatal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,27 +39,6 @@ GRID_AXES: dict[str, tuple] = {
 }
 
 
-@dataclass
-class GridResult:
-    config: PipelineConfig
-    report: Optional[dict]
-    error: Optional[str] = None
-
-    @property
-    def macro_auprc(self) -> Optional[float]:
-        if self.report is None:
-            return None
-        return self.report["macro"]["auprc"]
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "macro_auprc": self.macro_auprc,
-            "macro": None if self.report is None else dict(self.report["macro"]),
-            "error": self.error,
-        }
-
-
 def grid_configs(base: PipelineConfig, axes: Optional[dict[str, tuple]] = None) -> list[PipelineConfig]:
     axes = axes if axes is not None else GRID_AXES
     configs = [base]
@@ -69,37 +47,41 @@ def grid_configs(base: PipelineConfig, axes: Optional[dict[str, tuple]] = None) 
     return configs
 
 
+def _trial(
+    training: Sequence[FlowRecord],
+    validation: Sequence[FlowRecord],
+    test: Sequence[FlowRecord],
+    config: PipelineConfig,
+) -> dict:
+    """The test report's macro-averages of the pipeline trained under
+    config, or the error that stopped it."""
+    try:
+        trained = train_pipeline(training, validation, config)
+        return {"macro": evaluate_pipeline(trained, test)[0]["macro"], "error": None}
+    except FlowSieveError as exc:
+        return {"macro": None, "error": str(exc)}
+
+
 def run_grid(
     training: Sequence[FlowRecord],
     validation: Sequence[FlowRecord],
     test: Sequence[FlowRecord],
     base_config: PipelineConfig,
     axes: Optional[dict[str, tuple]] = None,
-) -> list[GridResult]:
-    """Train and evaluate the pipeline on every axis combination; results
-    are ordered by macro-AUPRC, best first, failures last."""
-    results: list[GridResult] = []
+) -> list[dict]:
+    """Train and evaluate the pipeline on every axis combination; each
+    result holds its config, macro_auprc, macro averages and error, best
+    macro-AUPRC first, failures last."""
+    results = []
     for config in grid_configs(base_config, axes):
-        try:
-            trained = train_pipeline(training, validation, config)
-            report, _ = evaluate_pipeline(trained, test)
-            results.append(GridResult(config=config, report=report))
-        except FlowSieveError as exc:
-            results.append(GridResult(config=config, report=None, error=str(exc)))
+        trial = _trial(training, validation, test, config)
+        macro_auprc = None if trial["macro"] is None else trial["macro"]["auprc"]
+        results.append({"config": config.to_dict(), "macro_auprc": macro_auprc, **trial})
     results.sort(
-        key=lambda r: r.macro_auprc if r.macro_auprc is not None else -math.inf,
+        key=lambda r: r["macro_auprc"] if r["macro_auprc"] is not None else -math.inf,
         reverse=True,
     )
     return results
-
-
-@dataclass
-class SweepPoint:
-    size: int
-    macro_precision: Optional[float] = None
-    macro_recall: Optional[float] = None
-    macro_f1: Optional[float] = None
-    error: Optional[str] = None
 
 
 def sensitivity_sweep(
@@ -108,35 +90,22 @@ def sensitivity_sweep(
     test: Sequence[FlowRecord],
     sizes: Sequence[int],
     config: PipelineConfig,
-) -> list[SweepPoint]:
+) -> list[dict]:
     """Retrain on the most recent N flows of the training+validation pool,
-    N per requested size, split 80/20 chronologically."""
+    N per requested size, split 80/20 chronologically; each point holds
+    its size, macro averages and error."""
     pool = sorted(list(training) + list(validation), key=lambda f: (f.flow_start, f.device_id))
-    points: list[SweepPoint] = []
+    points = []
     for size in sizes:
         if size < 2:
-            points.append(SweepPoint(size=size, error="size too small"))
-            continue
-        if size > len(pool):
-            points.append(SweepPoint(size=size, error=f"size exceeds pool of {len(pool)}"))
-            continue
-        selected = pool[-size:]
-        cut = max(1, min(size - 1, int(math.floor(size * 0.8))))
-        sub_train = selected[:cut]
-        sub_val = selected[cut:]
-        try:
-            trained = train_pipeline(sub_train, sub_val, config)
-            macro = evaluate_pipeline(trained, test)[0]["macro"]
-            points.append(
-                SweepPoint(
-                    size=size,
-                    macro_precision=macro["precision"],
-                    macro_recall=macro["recall"],
-                    macro_f1=macro["f1"],
-                )
-            )
-        except FlowSieveError as exc:
-            points.append(SweepPoint(size=size, error=str(exc)))
+            trial = {"macro": None, "error": "size too small"}
+        elif size > len(pool):
+            trial = {"macro": None, "error": f"size exceeds pool of {len(pool)}"}
+        else:
+            selected = pool[-size:]
+            cut = max(1, min(size - 1, int(math.floor(size * 0.8))))
+            trial = _trial(selected[:cut], selected[cut:], test, config)
+        points.append({"size": size, **trial})
     return points
 
 

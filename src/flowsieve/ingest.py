@@ -421,24 +421,17 @@ def compute_pool_features(flows: list[FlowRecord]) -> list[FlowRecord]:
 
 @dataclass
 class CleanseReport:
-    rows_in: int = 0
-    rows_kept: int = 0
     dropped_by_reason: Counter = field(default_factory=Counter)
     pool_zero_filled: int = 0
-    notes: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "rows_in": self.rows_in,
-            "rows_kept": self.rows_kept,
-            "rows_dropped_by_reason": dict(sorted(self.dropped_by_reason.items())),
-            "pool_zero_filled": self.pool_zero_filled,
-            "notes": list(self.notes),
-        }
 
 
 WARMUP_REASON = "warm-up window"
 MISSING_IAT_REASON = "missing inter-arrival time"
+# The notes every cleansing report carries.
+CLEANSE_NOTES = (
+    "warm-up drop applied globally over the whole capture",
+    "rows are assumed to be pre-filtered to external communications",
+)
 
 
 def preprocess(flows: list[FlowRecord]) -> tuple[list[FlowRecord], CleanseReport]:
@@ -449,7 +442,7 @@ def preprocess(flows: list[FlowRecord]) -> tuple[list[FlowRecord], CleanseReport
     whole capture). Destination filtering to external communications is an
     input guarantee of the dataset, asserted rather than computed.
     """
-    report = CleanseReport(rows_in=len(flows))
+    report = CleanseReport()
     if not flows:
         return [], report
     first_hour = min(flow.hour_index for flow in flows)
@@ -469,9 +462,6 @@ def preprocess(flows: list[FlowRecord]) -> tuple[list[FlowRecord], CleanseReport
                 same_dest_ip_count_pool=flow.same_dest_ip_count_pool or 0,
             )
         kept.append(flow)
-    report.rows_kept = len(kept)
-    report.notes.append("warm-up drop applied globally over the whole capture")
-    report.notes.append("rows are assumed to be pre-filtered to external communications")
     return kept, report
 
 
@@ -504,14 +494,6 @@ class PartitionResult:
     validation: list[FlowRecord]
     test: list[FlowRecord]
     dropped_by_reason: Counter
-
-    def to_dict(self) -> dict:
-        return {
-            "training_rows": len(self.training),
-            "validation_rows": len(self.validation),
-            "test_rows": len(self.test),
-            "rows_dropped_by_reason": dict(sorted(self.dropped_by_reason.items())),
-        }
 
 
 def partition_chronologically(

@@ -7,7 +7,6 @@ zero, so degenerate runs fail loudly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -16,15 +15,6 @@ from .errors import DataError
 from .records import ATTACK_CLASSES, LabelClass
 
 REPORT_SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class ScenarioOutcome:
-    scenario: LabelClass
-    tp: int
-    fp: int
-    tn: int
-    fn: int
 
 
 def _label_masks(
@@ -38,8 +28,9 @@ def _label_masks(
 
 def confusion(
     verdicts: np.recarray, labels: Sequence[LabelClass], scenario: LabelClass
-) -> ScenarioOutcome:
-    """Confusion counts for one attack scenario over a verdict table.
+) -> dict:
+    """Confusion counts (tp, fp, tn, fn) for one attack scenario over a
+    verdict table.
 
     Positives are the flows of the scenario's attack class, negatives the
     assumed-benign flows; flows of other attack classes stay out of scope.
@@ -52,13 +43,12 @@ def confusion(
         )
     malicious = verdicts.malicious
     positive, negative = _label_masks(labels, scenario)
-    return ScenarioOutcome(
-        scenario,
-        tp=int(np.count_nonzero(positive & malicious)),
-        fp=int(np.count_nonzero(negative & malicious)),
-        tn=int(np.count_nonzero(negative & ~malicious)),
-        fn=int(np.count_nonzero(positive & ~malicious)),
-    )
+    return {
+        "tp": int(np.count_nonzero(positive & malicious)),
+        "fp": int(np.count_nonzero(negative & malicious)),
+        "tn": int(np.count_nonzero(negative & ~malicious)),
+        "fn": int(np.count_nonzero(positive & ~malicious)),
+    }
 
 
 def _ratio(numerator: int, denominator: int) -> Optional[float]:
@@ -67,20 +57,19 @@ def _ratio(numerator: int, denominator: int) -> Optional[float]:
     return numerator / denominator
 
 
-def scenario_metrics(outcome: ScenarioOutcome) -> dict:
-    """The confusion counts with FPR, precision, recall and F1."""
-    precision = _ratio(outcome.tp, outcome.tp + outcome.fp)
-    recall = _ratio(outcome.tp, outcome.tp + outcome.fn)
+def scenario_metrics(counts: dict) -> dict:
+    """The confusion counts (tp, fp, tn, fn) with FPR, precision, recall
+    and F1."""
+    tp, fp, tn, fn = (counts[key] for key in ("tp", "fp", "tn", "fn"))
+    precision = _ratio(tp, tp + fp)
+    recall = _ratio(tp, tp + fn)
     if precision is None or recall is None or precision + recall == 0:
         f1 = None
     else:
         f1 = 2.0 * precision * recall / (precision + recall)
     return {
-        "tp": outcome.tp,
-        "fp": outcome.fp,
-        "tn": outcome.tn,
-        "fn": outcome.fn,
-        "fpr": _ratio(outcome.fp, outcome.fp + outcome.tn),
+        **counts,
+        "fpr": _ratio(fp, fp + tn),
         "precision": precision,
         "recall": recall,
         "f1": f1,

@@ -61,7 +61,7 @@ def _calibrate_filter2(
         _infrequent_rows(filter1, val_matrix), filter2.feature_space, filter1, filter2.pca_basis
     )
     thresholds = clustering.set_cluster_thresholds(filter2, val_proj, pctl_known)
-    return clustering.with_thresholds(filter2, thresholds)
+    return replace(filter2, per_cluster_thresholds=thresholds)
 
 
 def train_pipeline(
@@ -110,7 +110,7 @@ def recalibrate(pipeline: TrainedPipeline, validation_flows: Sequence[FlowRecord
     th_frequent = autoencoder.set_frequency_threshold(
         pipeline.filter1, val_matrix, config.pctl_frequent
     )
-    filter1 = autoencoder.with_threshold(pipeline.filter1, th_frequent)
+    filter1 = replace(pipeline.filter1, th_frequent=th_frequent)
     filter2 = _calibrate_filter2(filter1, pipeline.filter2, val_matrix, config.pctl_known)
     return TrainedPipeline(config, filter1, filter2)
 

@@ -16,7 +16,7 @@ import pytest
 from flowsieve import autoencoder, clustering, ingest, metrics, pipeline
 from flowsieve.config import PipelineConfig
 from flowsieve.experiments import run_benchmark, sensitivity_sweep
-from flowsieve.records import LabelClass, PartitionTag
+from flowsieve.records import PartitionTag
 from flowsieve.stats import nearest_rank_percentile
 from flowsieve.synth import SynthConfig, generate
 
@@ -28,9 +28,6 @@ from test_metrics import brute_force_average_precision
 DATASET_ENV = "FLOWSIEVE_DATASET"
 INTEGRATION_SEEDS = (42, 43, 44)
 
-NMAP = LabelClass.BEING_SCANNED_BY_NMAP
-CRYPTO = LabelClass.EXECUTING_CRYPTOMINING
-
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
@@ -41,12 +38,8 @@ def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_01_metric_table_arithmetic():
     started = time.perf_counter()
-    nmap = metrics.scenario_metrics(
-        metrics.ScenarioOutcome(NMAP, tp=3032, fn=48, fp=315, tn=22157)
-    )
-    crypto = metrics.scenario_metrics(
-        metrics.ScenarioOutcome(CRYPTO, tp=1703, fn=0, fp=315, tn=22157)
-    )
+    nmap = metrics.scenario_metrics({"tp": 3032, "fn": 48, "fp": 315, "tn": 22157})
+    crypto = metrics.scenario_metrics({"tp": 1703, "fn": 0, "fp": 315, "tn": 22157})
     checks = {
         "nmap precision": (nmap["precision"], 0.906),
         "nmap recall": (nmap["recall"], 0.984),
@@ -310,10 +303,10 @@ def test_criterion_11_sensitivity_endpoint(real_runs):
         training, validation, test, [40_000], PipelineConfig(rng_seed=INTEGRATION_SEEDS[0])
     )
     point = points[0]
-    ok = point.error is None and abs(point.macro_f1 - full_f1) <= 0.05
+    ok = point["error"] is None and abs(point["macro"]["f1"] - full_f1) <= 0.05
     _report(
         11,
         "40k most-recent flows match the full pool within 0.05 macro F1",
         ok,
-        f"40k f1 {point.macro_f1}, full f1 {full_f1:.3f}" if point.error is None else point.error,
+        f"40k f1 {point['macro']['f1']}, full f1 {full_f1:.3f}" if point["error"] is None else point["error"],
     )

@@ -356,6 +356,19 @@ class TestErrorPaths:
             errors.append(capsys.readouterr().err)
         assert errors == ["error: no fit at k=19\n"] * 2
 
+    def test_attacks_off_the_lab_network_are_data_error(self, tmp_path, capsys):
+        # ten homes put the lab, and every attack, on network 10
+        capture = tmp_path / "capture.csv"
+        assert main(["synth", "--out", str(capture), "--homes", "10", "--split", "1,1,1"]) == 0
+        capsys.readouterr()
+        argv = ["ingest", "--input", str(capture), "--outdir", str(tmp_path / "data"), "--split", "1,1,1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: no attack-labeled flow is on --lab-network 5; network(s) 10 carry them\n"
+        )
+        assert list(tmp_path.iterdir()) == [capture]
+        assert main(argv + ["--lab-network", "10"]) == 0
+
     def test_missing_input_is_data_error(self, tmp_path):
         assert (
             main(["ingest", "--input", str(tmp_path / "absent.csv"), "--outdir", str(tmp_path)])
@@ -756,6 +769,13 @@ class TestConfigFile:
         )
         payload = json.loads((out / "filter2.json").read_text())
         assert payload["distance_mode"] == "normalized_euclidean"
+        # the same values as --set overrides train the same models
+        sets = ["pctl_frequent=70", "distance_mode=normalized_euclidean", "rng_seed=5"]
+        again = tmp_path / "models-set"
+        argv = ["train", "--data", str(workdir / "data"), "--outdir", str(again)]
+        assert main(argv + [arg for value in sets for arg in ("--set", value)]) == 0
+        for name in ("filter1.json", "filter2.json"):
+            assert (again / name).read_bytes() == (out / name).read_bytes()
 
 
 class TestStagedOutputs:

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -628,7 +629,7 @@ class TestClusterThresholds:
         model = self._model([[0.0]])
         # distances 1..100
         validation = np.arange(1.0, 101.0).reshape(-1, 1)
-        model = clustering.with_thresholds(model, [0.0])
+        model = replace(model, per_cluster_thresholds=[0.0])
         thresholds = clustering.set_cluster_thresholds(model, validation, 95)
         assert thresholds[0] == 95.0
 
@@ -640,7 +641,7 @@ class TestClusterThresholds:
     def test_empty_cluster_threshold_zero_means_unknown(self):
         model = self._model([[0.0], [100.0]])
         thresholds = clustering.set_cluster_thresholds(model, np.array([[1.0]]), 100)
-        model = clustering.with_thresholds(model, thresholds)
+        model = replace(model, per_cluster_thresholds=thresholds)
         scores = clustering.score_and_classify(np.array([[100.0]]), model, None)
         assert scores[0].assigned_cluster == 1
         assert scores[0].malicious == True
@@ -722,8 +723,8 @@ class TestScoreAndClassify:
         model = self._simple_model(thresholds=[0.8, 1.3])
         points = rng.uniform(-3, 13, size=(50, 2))
         raw = clustering.score_and_classify(points, model, None)
-        tanh_model = clustering.with_thresholds(
-            model, [math.tanh(t) for t in model.per_cluster_thresholds]
+        tanh_model = replace(
+            model, per_cluster_thresholds=[math.tanh(t) for t in model.per_cluster_thresholds]
         )
         for point, verdict in zip(points, raw):
             [tanh_side] = clustering.score_and_classify(point[None, :], tanh_model, None)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from flowsieve.config import (
     NumericTreatment,
     PipelineConfig,
 )
-from flowsieve.errors import DataError
+from flowsieve.errors import DataError, FlowSieveError
 from flowsieve.experiments import (
     GRID_AXES,
     grid_configs,
@@ -18,7 +20,7 @@ from flowsieve.experiments import (
     sensitivity_sweep,
 )
 from flowsieve.metrics import auprc, macro_average
-from flowsieve.pipeline import classify_flows, train_pipeline
+from flowsieve.pipeline import classify_flows, evaluate_pipeline, train_pipeline
 from flowsieve.records import ATTACK_CLASSES, LabelClass
 from flowsieve.synth import SynthConfig, generate
 
@@ -67,8 +69,8 @@ class TestRunGrid:
         }
         results = run_grid(training, validation, test, PipelineConfig(rng_seed=3), axes)
         assert len(results) == 1
-        assert results[0].error is None
-        assert results[0].macro_auprc is not None
+        assert results[0]["error"] is None
+        assert results[0]["macro_auprc"] is not None
 
     def test_projection_axes_and_ordering(self, small_partitions):
         training, validation, test = small_partitions
@@ -82,8 +84,8 @@ class TestRunGrid:
         }
         results = run_grid(training, validation, test, PipelineConfig(rng_seed=3), axes)
         assert len(results) == 3
-        assert all(r.error is None for r in results)
-        scores = [r.macro_auprc for r in results]
+        assert all(r["error"] is None for r in results)
+        scores = [r["macro_auprc"] for r in results]
         assert scores == sorted(scores, reverse=True)
 
     def test_failed_combination_recorded_not_fatal(self, small_partitions):
@@ -94,8 +96,48 @@ class TestRunGrid:
         config = PipelineConfig(rng_seed=3, k_min=50, k_max=50)
         results = run_grid(training[:400], validation[:200], test[:100], config, axes)
         assert len(results) == 1
-        assert results[0].error is not None
-        assert results[0].report is None
+        assert results[0]["error"] is not None
+        assert results[0]["macro"] is None
+
+
+def reference_grid(training, validation, test, base, axes):
+    """run_grid as one train_pipeline + evaluate_pipeline per combination,
+    failures recorded, best macro-AUPRC first and failures last."""
+    results = []
+    for config in grid_configs(base, axes):
+        try:
+            report, _ = evaluate_pipeline(train_pipeline(training, validation, config), test)
+            macro, error = report["macro"], None
+        except FlowSieveError as exc:
+            macro, error = None, str(exc)
+        results.append(
+            {
+                "config": config.to_dict(),
+                "macro_auprc": None if macro is None else macro["auprc"],
+                "macro": macro,
+                "error": error,
+            }
+        )
+    results.sort(key=lambda r: -math.inf if r["macro_auprc"] is None else r["macro_auprc"], reverse=True)
+    return results
+
+
+class TestGridOracle:
+    def test_reduced_grid_equals_one_training_per_combination(self, small_partitions):
+        training, validation, test = small_partitions
+        # attack flows in validation lift its 99.9th MSE percentile above
+        # every log1p-encoded training row, so those combinations fail
+        validation = validation + [flow for flow in test if flow.actual_label.is_attack][:10]
+        axes = {
+            "numeric_treatment": (NumericTreatment.LOG1P, NumericTreatment.AS_IS),
+            "pctl_frequent": (60.0, 99.9),
+            "distance_mode": (DistanceMode.RAW_EUCLIDEAN, DistanceMode.NORMALIZED_EUCLIDEAN),
+        }
+        base = PipelineConfig(rng_seed=3, epochs_max=2, k_max=3)
+        results = run_grid(training, validation, test, base, axes)
+        assert results == reference_grid(training, validation, test, base, axes)
+        assert len(results) == 8
+        assert 0 < sum(r["error"] is not None for r in results) < 8
 
 
 class TestSensitivitySweep:
@@ -106,9 +148,9 @@ class TestSensitivitySweep:
             training, validation, test, [100, pool], PipelineConfig(rng_seed=3)
         )
         small, full = points
-        assert small.error is None and full.error is None
-        assert small.macro_f1 <= full.macro_f1 + 1e-9
-        assert small.macro_recall <= full.macro_recall + 1e-9
+        assert small["error"] is None and full["error"] is None
+        assert small["macro"]["f1"] <= full["macro"]["f1"] + 1e-9
+        assert small["macro"]["recall"] <= full["macro"]["recall"] + 1e-9
 
     def test_oversized_and_tiny_sizes_fail_gracefully(self, small_partitions):
         training, validation, test = small_partitions
@@ -116,12 +158,12 @@ class TestSensitivitySweep:
         points = sensitivity_sweep(
             training, validation, test, [1, pool + 1], PipelineConfig(rng_seed=3)
         )
-        assert all(p.error is not None for p in points)
+        assert all(p["error"] is not None for p in points)
 
     def test_split_is_80_20_chronological(self, small_partitions):
         training, validation, test = small_partitions
         points = sensitivity_sweep(training, validation, test, [500], PipelineConfig(rng_seed=3))
-        assert points[0].error is None
+        assert points[0]["error"] is None
 
 
 class TestBenchmark:

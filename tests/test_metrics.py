@@ -27,8 +27,8 @@ def _table(malicious, tanh=None, frequent=None) -> np.recarray:
     )
 
 
-def in_scope(outcome: metrics.ScenarioOutcome) -> int:
-    return outcome.tp + outcome.fp + outcome.tn + outcome.fn
+def in_scope(outcome: dict) -> int:
+    return outcome["tp"] + outcome["fp"] + outcome["tn"] + outcome["fn"]
 
 
 class TestConfusion:
@@ -37,14 +37,14 @@ class TestConfusion:
         # the third flow, of another attack class, is out of scope for NMAP
         verdicts = _table([True, False, True, True, False, False])
         outcome = metrics.confusion(verdicts, labels, NMAP)
-        assert (outcome.tp, outcome.fn, outcome.fp, outcome.tn) == (1, 1, 1, 2)
+        assert outcome == {"tp": 1, "fn": 1, "fp": 1, "tn": 2}
         assert in_scope(outcome) == 5  # crypto flow excluded
 
     def test_all_benign_verdicts(self):
         labels = [NMAP, BENIGN]
         verdicts = _table([False, False])
         outcome = metrics.confusion(verdicts, labels, NMAP)
-        assert outcome.tp == 0 and outcome.fp == 0
+        assert outcome["tp"] == 0 and outcome["fp"] == 0
 
     def test_count_mismatch_errors(self):
         with pytest.raises(DataError):
@@ -66,7 +66,7 @@ class TestConfusion:
 
 class TestScenarioMetrics:
     def test_published_nmap_counts(self):
-        outcome = metrics.ScenarioOutcome(NMAP, tp=3032, fp=315, tn=22157, fn=48)
+        outcome = {"tp": 3032, "fp": 315, "tn": 22157, "fn": 48}
         m = metrics.scenario_metrics(outcome)
         assert m["precision"] == pytest.approx(0.906, abs=1e-3)
         assert m["recall"] == pytest.approx(0.984, abs=1e-3)
@@ -74,21 +74,21 @@ class TestScenarioMetrics:
         assert m["fpr"] == pytest.approx(0.014, abs=1e-3)
 
     def test_published_crypto_counts(self):
-        outcome = metrics.ScenarioOutcome(CRYPTO, tp=1703, fp=315, tn=22157, fn=0)
+        outcome = {"tp": 1703, "fp": 315, "tn": 22157, "fn": 0}
         m = metrics.scenario_metrics(outcome)
         assert m["precision"] == pytest.approx(0.844, abs=1e-3)
         assert m["recall"] == pytest.approx(1.000, abs=1e-3)
         assert m["f1"] == pytest.approx(0.915, abs=1e-3)
 
     def test_zero_over_zero_is_undefined(self):
-        outcome = metrics.ScenarioOutcome(NMAP, tp=0, fp=0, tn=5, fn=2)
+        outcome = {"tp": 0, "fp": 0, "tn": 5, "fn": 2}
         m = metrics.scenario_metrics(outcome)
         assert m["precision"] is None
         assert m["recall"] == 0.0
         assert m["f1"] is None
 
     def test_all_zero_recall_denominator(self):
-        outcome = metrics.ScenarioOutcome(NMAP, tp=0, fp=1, tn=5, fn=0)
+        outcome = {"tp": 0, "fp": 1, "tn": 5, "fn": 0}
         m = metrics.scenario_metrics(outcome)
         assert m["recall"] is None
 
