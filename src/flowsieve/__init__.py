@@ -13,7 +13,7 @@ from .config import (
     NumericTreatment,
     PipelineConfig,
 )
-from .records import FinalLabel, FlowRecord, LabelClass, PartitionTag, validate_record
+from .records import FinalLabel, FlowRecord, LabelClass, PartitionTag
 
 __version__ = "0.1.0"
 
@@ -27,6 +27,5 @@ __all__ = [
     "NumericTreatment",
     "PartitionTag",
     "PipelineConfig",
-    "validate_record",
     "__version__",
 ]

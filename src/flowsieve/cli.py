@@ -40,7 +40,7 @@ from .metrics import (
     scenario_metrics,
     verdict_scores,
 )
-from .records import FinalLabel, FlowRecord, LabelClass, verdict_table
+from .records import LAB_NETWORK_ID, FinalLabel, FlowRecord, LabelClass, verdict_table
 from .synth import SynthConfig, generate
 
 DEFAULT_SEED = 42
@@ -316,10 +316,11 @@ def _cmd_calibrate(args) -> int:
 
 def _detect_config(args, config: PipelineConfig) -> PipelineConfig:
     """The verdict rule of --mode: per-cluster thresholds, or tanh against
-    --tau, else the configured threshold, else 0.75."""
+    --tau, else the configured threshold, else the field's default."""
     if args.mode == "per-cluster":
         return config.replace(global_tanh_threshold=None)
-    tau = args.tau if args.tau is not None else (config.global_tanh_threshold or 0.75)
+    default = PipelineConfig.global_tanh_threshold
+    tau = args.tau if args.tau is not None else (config.global_tanh_threshold or default)
     return config.replace(global_tanh_threshold=tau)
 
 
@@ -553,7 +554,7 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--outdir", required=True)
     p.add_argument("--split", type=_split_days, default="13,3,5")
-    p.add_argument("--lab-network", type=int, default=5)
+    p.add_argument("--lab-network", type=int, default=LAB_NETWORK_ID)
     _add_config_options(p)
     p.set_defaults(func=_cmd_ingest)
 

@@ -96,10 +96,6 @@ class PipelineConfig:
     def to_dict(self) -> dict:
         return encode_value(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "PipelineConfig":
-        return cls().with_updates(data)
-
     def with_updates(self, updates: dict) -> "PipelineConfig":
         """Apply string-or-typed updates keyed by field name."""
         parsed = {}

@@ -100,10 +100,9 @@ class EncodingRecipe(Artifact):
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Encoded rows and the names of their columns."""
+    """Encoded rows; their column names are the recipe's columns."""
 
     values: np.ndarray  # (n, d) float64
-    columns: tuple[str, ...]
 
     @property
     def n_rows(self) -> int:
@@ -202,7 +201,7 @@ def apply_recipe(flows: list[FlowRecord], recipe: EncodingRecipe) -> FeatureMatr
                 scaled = (transformed - lo) / (hi - lo) if hi > lo else np.zeros_like(transformed)
             values[:, position] = np.clip(scaled, 0.0, 1.0)
         position += 1
-    return FeatureMatrix(values=values, columns=recipe.columns)
+    return FeatureMatrix(values=values)
 
 
 @dataclass(frozen=True)
@@ -267,9 +266,8 @@ def fit_pca(data: np.ndarray) -> PcaBasis:
     return PcaBasis(mean=mean, components=components, explained_variance_ratio=ratios, retained=retained)
 
 
-def pca_project(basis: PcaBasis, values: np.ndarray, n_components: Optional[int] = None) -> np.ndarray:
-    k = basis.retained if n_components is None else n_components
-    return (values - basis.mean) @ basis.components[:k].T
+def pca_project(basis: PcaBasis, values: np.ndarray) -> np.ndarray:
+    return (values - basis.mean) @ basis.components[: basis.retained].T
 
 
 def project_features(

@@ -19,6 +19,7 @@ from typing import IO, Iterable, Optional, Union
 
 from .errors import DataError, SchemaError, not_utf8_message
 from .records import (
+    LAB_NETWORK_ID,
     FlowRecord,
     LabelClass,
     PartitionTag,
@@ -72,15 +73,10 @@ class ParseReport:
     rows_read: int = 0
     rows_rejected: int = 0
     reject_reasons: Counter = field(default_factory=Counter)
-    rejected_rows: list[tuple[int, str]] = field(default_factory=list)  # capped
 
-    _MAX_LISTED = 100
-
-    def reject(self, row_index: int, reason: str) -> None:
+    def reject(self, reason: str) -> None:
         self.rows_rejected += 1
         self.reject_reasons[reason] += 1
-        if len(self.rejected_rows) < self._MAX_LISTED:
-            self.rejected_rows.append((row_index, reason))
 
     def to_dict(self) -> dict:
         return {
@@ -202,7 +198,7 @@ def _parse_stream(stream: IO[str]) -> tuple[list[FlowRecord], ParseReport]:
 
     records: list[FlowRecord] = []
     report = ParseReport()
-    for row_index, row in enumerate(reader, start=1):
+    for row in reader:
         line = "".join(row)
         if not line.strip():
             continue
@@ -214,7 +210,7 @@ def _parse_stream(stream: IO[str]) -> tuple[list[FlowRecord], ParseReport]:
         try:
             records.append(convert(*map(strip, pick(row))))
         except ValueError as exc:
-            report.reject(row_index, str(exc))
+            report.reject(str(exc))
     return records, report
 
 
@@ -499,7 +495,7 @@ class PartitionResult:
 def partition_chronologically(
     flows: list[FlowRecord],
     split_days: tuple[int, int, int] = (13, 3, 5),
-    lab_network_id: int = 5,
+    lab_network_id: int = LAB_NETWORK_ID,
 ) -> PartitionResult:
     """Split flows into chronologically ordered training/validation/test.
 

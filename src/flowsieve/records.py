@@ -20,7 +20,7 @@ MS_PER_HOUR = 3_600_000
 MS_PER_DAY = 86_400_000
 
 # Published deployment convention: devices 0-6 live in home networks 0-4,
-# device 7 is the single lab device in network 5.
+# device 7 is the single lab device in network 5, ingest's default lab.
 LAB_DEVICE_ID = 7
 LAB_NETWORK_ID = 5
 
@@ -152,42 +152,6 @@ def copy_record(record: FlowRecord, **changes) -> FlowRecord:
 
 # Names of the TCP control bits in bit-field order (bit 0 first).
 TCP_BIT_NAMES = ("syn", "ack", "fin", "psh", "rst", "urg")
-
-
-def validate_record(record: FlowRecord) -> list[str]:
-    """Return every violated record invariant; an empty list means ok.
-
-    Total function: never raises on any constructible record.
-    """
-    violations: list[str] = []
-    if record.packet_delta_count < 1:
-        violations.append("packet_delta_count >= 1")
-    if record.octet_delta_count < 0:
-        violations.append("octet_delta_count >= 0")
-    if record.flow_duration_milliseconds < 0:
-        violations.append("flow_duration_milliseconds >= 0")
-    if record.inter_arrival_time_milliseconds is not None and record.inter_arrival_time_milliseconds < 0:
-        violations.append("inter_arrival_time_milliseconds >= 0")
-    for name in ("same_dest_port_count_pool", "same_dest_ip_count_pool"):
-        value = getattr(record, name)
-        if value is not None and value < 0:
-            violations.append(f"{name} >= 0")
-    if record.packet_delta_count >= 1:
-        expected = record.avg_packet_size * record.packet_delta_count
-        if abs(expected - record.octet_delta_count) > 0.5:
-            violations.append("avg_packet_size * packet_delta_count = octet_delta_count (within 0.5)")
-    if not 0 <= record.tcp_control_bits < 64:
-        violations.append("tcp_control_bits is a 6-bit field")
-    if (record.device_id == LAB_DEVICE_ID) != (record.source_network_id == LAB_NETWORK_ID):
-        violations.append("lab device lives only in the lab network")
-    if record.actual_label.is_attack and record.source_network_id != LAB_NETWORK_ID:
-        violations.append("attack label outside lab")
-    if record.dns_host_pct_numerical_chars is not None:
-        if not record.has_dns_request_from_pool:
-            violations.append("dns_host_pct_numerical_chars present without a DNS request")
-        if not 0.0 <= record.dns_host_pct_numerical_chars <= 100.0:
-            violations.append("dns_host_pct_numerical_chars in [0, 100]")
-    return violations
 
 
 # One row per flow: the verdict table classify returns and eval reads.

@@ -9,7 +9,7 @@ the real ingestion code, never faked.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -73,104 +73,103 @@ class BehaviorSpec:
     dns_pct_mean: float = 20.0
 
 
-def default_behaviors() -> tuple[BehaviorSpec, ...]:
-    return (
-        BehaviorSpec(
-            name="telemetry",
-            kind=BehaviorKind.FREQUENT,
-            rate_per_device_hour=5.0,
-            octets_mean=1200.0,
-            octets_spread=120.0,
-            packets_mean=10.0,
-            packets_spread=1.5,
-            duration_mean_ms=400.0,
-            duration_spread_ms=60.0,
-            dest_ports=(443,),
-            dest_prefixes=("pfx-telemetry",),
-        ),
-        BehaviorSpec(
-            name="streaming",
-            kind=BehaviorKind.FREQUENT,
-            rate_per_device_hour=3.0,
-            octets_mean=220_000.0,
-            octets_spread=18_000.0,
-            packets_mean=180.0,
-            packets_spread=20.0,
-            duration_mean_ms=1500.0,
-            duration_spread_ms=220.0,
-            dest_ports=(443, 8443),
-            dest_prefixes=("pfx-cdn-a", "pfx-cdn-b"),
-            tcp_bits=0b000010,  # ACK
-            dns_pct_mean=10.0,
-        ),
-        BehaviorSpec(
-            name="boot-check",
-            kind=BehaviorKind.RARE_BENIGN,
-            rate_per_device_hour=0.06,
-            octets_mean=340.0,
-            octets_spread=40.0,
-            packets_mean=4.0,
-            packets_spread=1.0,
-            duration_mean_ms=90.0,
-            duration_spread_ms=20.0,
-            dest_ports=(123,),
-            dest_prefixes=("pfx-ntp",),
-            protocol=17,
-            tcp_bits=0,
-            flow_end_reason="end of flow",
-            has_dns=False,
-            dns_pct_mean=0.0,
-        ),
-        BehaviorSpec(
-            name="voice-command",
-            kind=BehaviorKind.RARE_BENIGN,
-            rate_per_device_hour=0.08,
-            octets_mean=5200.0,
-            octets_spread=500.0,
-            packets_mean=24.0,
-            packets_spread=4.0,
-            duration_mean_ms=2600.0,
-            duration_spread_ms=350.0,
-            dest_ports=(8883,),
-            dest_prefixes=("pfx-voice",),
-            tcp_bits=0b001010,
-            dns_pct_mean=35.0,
-        ),
-        BehaviorSpec(
-            name="port-sweep",
-            kind=BehaviorKind.SCAN_LIKE,
-            rate_per_device_hour=60.0,
-            octets_mean=90.0,
-            octets_spread=20.0,
-            packets_mean=1.4,
-            packets_spread=0.6,
-            duration_mean_ms=4.0,
-            duration_spread_ms=2.0,
-            dest_ports=tuple(range(20_000, 20_256)),
-            dest_prefixes=("pfx-scan-target",),
-            tcp_bits=0b010001,  # SYN|RST
-            flow_end_reason="end of flow",
-            has_dns=False,
-            dns_pct_mean=0.0,
-        ),
-        BehaviorSpec(
-            name="coin-miner",
-            kind=BehaviorKind.MINING_LIKE,
-            rate_per_device_hour=20.0,
-            octets_mean=9000.0,
-            octets_spread=700.0,
-            packets_mean=60.0,
-            packets_spread=6.0,
-            duration_mean_ms=290_000.0,
-            duration_spread_ms=25_000.0,
-            dest_ports=(3333,),
-            dest_prefixes=("pfx-stratum",),
-            tcp_bits=0b001010,
-            flow_end_reason="active timeout",
-            has_dns=False,
-            dns_pct_mean=0.0,
-        ),
-    )
+BEHAVIORS: tuple[BehaviorSpec, ...] = (
+    BehaviorSpec(
+        name="telemetry",
+        kind=BehaviorKind.FREQUENT,
+        rate_per_device_hour=5.0,
+        octets_mean=1200.0,
+        octets_spread=120.0,
+        packets_mean=10.0,
+        packets_spread=1.5,
+        duration_mean_ms=400.0,
+        duration_spread_ms=60.0,
+        dest_ports=(443,),
+        dest_prefixes=("pfx-telemetry",),
+    ),
+    BehaviorSpec(
+        name="streaming",
+        kind=BehaviorKind.FREQUENT,
+        rate_per_device_hour=3.0,
+        octets_mean=220_000.0,
+        octets_spread=18_000.0,
+        packets_mean=180.0,
+        packets_spread=20.0,
+        duration_mean_ms=1500.0,
+        duration_spread_ms=220.0,
+        dest_ports=(443, 8443),
+        dest_prefixes=("pfx-cdn-a", "pfx-cdn-b"),
+        tcp_bits=0b000010,  # ACK
+        dns_pct_mean=10.0,
+    ),
+    BehaviorSpec(
+        name="boot-check",
+        kind=BehaviorKind.RARE_BENIGN,
+        rate_per_device_hour=0.06,
+        octets_mean=340.0,
+        octets_spread=40.0,
+        packets_mean=4.0,
+        packets_spread=1.0,
+        duration_mean_ms=90.0,
+        duration_spread_ms=20.0,
+        dest_ports=(123,),
+        dest_prefixes=("pfx-ntp",),
+        protocol=17,
+        tcp_bits=0,
+        flow_end_reason="end of flow",
+        has_dns=False,
+        dns_pct_mean=0.0,
+    ),
+    BehaviorSpec(
+        name="voice-command",
+        kind=BehaviorKind.RARE_BENIGN,
+        rate_per_device_hour=0.08,
+        octets_mean=5200.0,
+        octets_spread=500.0,
+        packets_mean=24.0,
+        packets_spread=4.0,
+        duration_mean_ms=2600.0,
+        duration_spread_ms=350.0,
+        dest_ports=(8883,),
+        dest_prefixes=("pfx-voice",),
+        tcp_bits=0b001010,
+        dns_pct_mean=35.0,
+    ),
+    BehaviorSpec(
+        name="port-sweep",
+        kind=BehaviorKind.SCAN_LIKE,
+        rate_per_device_hour=60.0,
+        octets_mean=90.0,
+        octets_spread=20.0,
+        packets_mean=1.4,
+        packets_spread=0.6,
+        duration_mean_ms=4.0,
+        duration_spread_ms=2.0,
+        dest_ports=tuple(range(20_000, 20_256)),
+        dest_prefixes=("pfx-scan-target",),
+        tcp_bits=0b010001,  # SYN|RST
+        flow_end_reason="end of flow",
+        has_dns=False,
+        dns_pct_mean=0.0,
+    ),
+    BehaviorSpec(
+        name="coin-miner",
+        kind=BehaviorKind.MINING_LIKE,
+        rate_per_device_hour=20.0,
+        octets_mean=9000.0,
+        octets_spread=700.0,
+        packets_mean=60.0,
+        packets_spread=6.0,
+        duration_mean_ms=290_000.0,
+        duration_spread_ms=25_000.0,
+        dest_ports=(3333,),
+        dest_prefixes=("pfx-stratum",),
+        tcp_bits=0b001010,
+        flow_end_reason="active timeout",
+        has_dns=False,
+        dns_pct_mean=0.0,
+    ),
+)
 
 
 @dataclass(frozen=True)
@@ -178,7 +177,6 @@ class SynthConfig:
     n_homes: int = 5
     days: int = 7
     split_days: tuple[int, int, int] = (4, 1, 2)
-    behaviors: tuple[BehaviorSpec, ...] = field(default_factory=default_behaviors)
     seed: int = 42
 
     def __post_init__(self) -> None:
@@ -188,13 +186,6 @@ class SynthConfig:
             raise ConfigError("days must be positive")
         if sum(self.split_days) != self.days or any(d <= 0 for d in self.split_days):
             raise ConfigError("split_days must be positive and sum to days")
-        if not any(b.kind is BehaviorKind.FREQUENT for b in self.behaviors):
-            raise ConfigError("at least one frequent behavior is required")
-        for behavior in self.behaviors:
-            if behavior.rate_per_device_hour <= 0:
-                raise ConfigError(f"behavior {behavior.name!r} has a non-positive rate")
-            if not behavior.dest_ports or not behavior.dest_prefixes:
-                raise ConfigError(f"behavior {behavior.name!r} needs ports and prefixes")
 
     @property
     def lab_network_id(self) -> int:
@@ -289,7 +280,7 @@ def generate(config: SynthConfig) -> list[FlowRecord]:
             in_attack_window = is_lab and test_start <= day < test_end
             for hour in range(24):
                 hour_base = day * MS_PER_DAY + hour * MS_PER_HOUR
-                for behavior in config.behaviors:
+                for behavior in BEHAVIORS:
                     if behavior.kind.is_attack and not in_attack_window:
                         continue
                     count = int(rng.poisson(behavior.rate_per_device_hour))
@@ -302,7 +293,7 @@ def generate(config: SynthConfig) -> list[FlowRecord]:
     # Guarantee the collaborative premise: every rare-benign behavior is
     # observed in at least two distinct home networks during training.
     plant_hour = 3  # past the two-hour warm-up window
-    for i, behavior in enumerate(b for b in config.behaviors if b.kind is BehaviorKind.RARE_BENIGN):
+    for i, behavior in enumerate(b for b in BEHAVIORS if b.kind is BehaviorKind.RARE_BENIGN):
         for slot, device_id in enumerate((0, 1)):
             start = plant_hour * MS_PER_HOUR + i * 60_000 + slot * 1000
             flows.append(

@@ -11,7 +11,7 @@ from flowsieve.encode import apply_recipe, fit_recipe
 from flowsieve.errors import DataError
 from flowsieve.records import FlowRecord
 from flowsieve.stats import nearest_rank_percentile, pairwise_dists
-from flowsieve.synth import SynthConfig
+from flowsieve.synth import BEHAVIORS, SynthConfig
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ def separability_check(flows: list[FlowRecord], config: SynthConfig) -> Separabi
     attacks = [f for f in flows if f.actual_label.is_attack]
     if not attacks:
         raise DataError("no attack flows to check")
-    n_benign_behaviors = sum(1 for b in config.behaviors if not b.kind.is_attack)
+    n_benign_behaviors = sum(1 for b in BEHAVIORS if not b.kind.is_attack)
     encoding = PipelineConfig(
         ip_treatment=IpTreatment.DROP, numeric_treatment=NumericTreatment.LOG1P
     )

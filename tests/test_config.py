@@ -75,7 +75,7 @@ class TestPipelineConfig:
 
     def test_to_dict_round_trip(self):
         config = PipelineConfig(pctl_known=98.0, k_max=12)
-        assert PipelineConfig.from_dict(config.to_dict()) == config
+        assert PipelineConfig().with_updates(config.to_dict()) == config
 
     @pytest.mark.parametrize(
         "value", ["none", "", "nan", "inf", "-inf", "1e309", 1e309, float("nan"), 10**400],
@@ -121,7 +121,7 @@ class TestPipelineConfig:
             assert type(value) is type(default)
             if isinstance(value, float):
                 assert math.isfinite(value)
-        assert PipelineConfig.from_dict(config.to_dict()) == config
+        assert PipelineConfig().with_updates(config.to_dict()) == config
 
 
 class TestConfigFile:

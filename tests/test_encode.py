@@ -54,7 +54,7 @@ class TestFitRecipe:
         flows = [make_record() for _ in range(3)]
         recipe = encode.fit_recipe(flows, _config())
         matrix = encode.apply_recipe(flows, recipe)
-        column = matrix.columns.index("octet_delta_count")
+        column = recipe.columns.index("octet_delta_count")
         assert np.all(matrix.values[:, column] == 0.0)
 
     def test_determinism(self):
@@ -88,8 +88,8 @@ class TestApplyRecipe:
         train = [make_record(flow_end_reason="idle timeout")]
         recipe = encode.fit_recipe(train, _config())
         matrix = encode.apply_recipe([make_record(flow_end_reason="brand new")], recipe)
-        other = matrix.columns.index("flow_end_reason=OTHER")
-        seen = matrix.columns.index("flow_end_reason=idle timeout")
+        other = recipe.columns.index("flow_end_reason=OTHER")
+        seen = recipe.columns.index("flow_end_reason=idle timeout")
         assert matrix.values[0, other] == 1.0
         assert matrix.values[0, seen] == 0.0
 
@@ -101,7 +101,7 @@ class TestApplyRecipe:
         recipe = encode.fit_recipe(train, _config())
         ten_x = make_record(octet_delta_count=2000, packet_delta_count=1, avg_packet_size=2000.0)
         matrix = encode.apply_recipe([ten_x], recipe)
-        assert matrix.values[0, matrix.columns.index("octet_delta_count")] == 1.0
+        assert matrix.values[0, recipe.columns.index("octet_delta_count")] == 1.0
 
     def test_subnormal_range_clips_without_overflow_warning(self):
         # hi - lo = 5e-324: a row above the range overflows to inf in the
@@ -113,16 +113,16 @@ class TestApplyRecipe:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             matrix = encode.apply_recipe(above, recipe)
-        assert matrix.values[:, matrix.columns.index("dns_host_pct_numerical_chars")].tolist() == [0.0, 1.0, 1.0]
+        assert matrix.values[:, recipe.columns.index("dns_host_pct_numerical_chars")].tolist() == [0.0, 1.0, 1.0]
         assert matrix.values.tobytes() == encode.apply_recipe(at_max, recipe).values.tobytes()
 
     def test_tcp_bits_become_binary_columns(self):
         train = [make_record(tcp_control_bits=0b010001)]  # SYN|RST
         recipe = encode.fit_recipe(train, _config())
         matrix = encode.apply_recipe(train, recipe)
-        assert matrix.values[0, matrix.columns.index("tcp_syn")] == 1.0
-        assert matrix.values[0, matrix.columns.index("tcp_rst")] == 1.0
-        assert matrix.values[0, matrix.columns.index("tcp_ack")] == 0.0
+        assert matrix.values[0, recipe.columns.index("tcp_syn")] == 1.0
+        assert matrix.values[0, recipe.columns.index("tcp_rst")] == 1.0
+        assert matrix.values[0, recipe.columns.index("tcp_ack")] == 0.0
 
 
 class TestNonFiniteEncoding:
@@ -148,7 +148,7 @@ class TestNonFiniteEncoding:
         config = _config(numeric_treatment=NumericTreatment.AS_IS)
         recipe = encode.fit_recipe([make_record(), make_record(octet_delta_count=9000)], config)
         matrix = encode.apply_recipe([make_record(octet_delta_count=-5)], recipe)
-        assert matrix.values[0, matrix.columns.index("octet_delta_count")] == 0.0
+        assert matrix.values[0, recipe.columns.index("octet_delta_count")] == 0.0
 
     @pytest.mark.parametrize("treatment", list(NumericTreatment))
     def test_integers_beyond_float_range_name_the_column(self, treatment):
@@ -205,7 +205,7 @@ class TestFitPca:
         rng = np.random.default_rng(13)
         data = rng.normal(size=(50, 5))
         basis = encode.fit_pca(data)
-        projected = encode.pca_project(basis, data, n_components=5)
+        projected = encode.pca_project(dataclasses.replace(basis, retained=5), data)
         restored = pca_reconstruct(basis, projected)
         centered = data - basis.mean
         scale = np.abs(centered).max()

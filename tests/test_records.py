@@ -11,59 +11,10 @@ from flowsieve.records import (
     PartitionTag,
     flow_start_ms,
     split_flow_start,
-    validate_record,
     verdict_table,
 )
 
 from conftest import make_record
-
-
-class TestValidateRecord:
-    def test_consistent_record_is_ok(self):
-        record = make_record(octet_delta_count=1200, packet_delta_count=3, avg_packet_size=400.0)
-        assert validate_record(record) == []
-
-    def test_zero_packet_count(self):
-        record = make_record(packet_delta_count=0)
-        assert "packet_delta_count >= 1" in validate_record(record)
-
-    def test_attack_label_outside_lab(self):
-        record = make_record(
-            actual_label=LabelClass.BEING_SCANNED_BY_NMAP, source_network_id=2, device_id=3
-        )
-        assert "attack label outside lab" in validate_record(record)
-
-    def test_attack_label_in_lab_is_fine(self):
-        record = make_record(
-            actual_label=LabelClass.EXECUTING_CRYPTOMINING, source_network_id=5, device_id=7
-        )
-        assert validate_record(record) == []
-
-    def test_octet_consistency_tolerance(self):
-        # within 0.5 of avg * packets is acceptable rounding slack
-        ok = make_record(octet_delta_count=1200, packet_delta_count=7, avg_packet_size=171.43)
-        assert validate_record(ok) == []
-        bad = make_record(octet_delta_count=1200, packet_delta_count=7, avg_packet_size=170.0)
-        assert any("octet_delta_count" in v for v in validate_record(bad))
-
-    def test_lab_device_network_coupling(self):
-        stray = make_record(device_id=7, source_network_id=2)
-        assert "lab device lives only in the lab network" in validate_record(stray)
-
-    def test_dns_pct_requires_flag(self):
-        record = make_record(has_dns_request_from_pool=False, dns_host_pct_numerical_chars=10.0)
-        assert any("DNS request" in v for v in validate_record(record))
-
-    def test_total_function_on_garbage(self):
-        record = make_record(
-            packet_delta_count=-3,
-            octet_delta_count=-1,
-            flow_duration_milliseconds=-1,
-            tcp_control_bits=64,
-            inter_arrival_time_milliseconds=-5,
-        )
-        violations = validate_record(record)
-        assert len(violations) >= 5
 
 
 class TestTimestamps:

@@ -5,13 +5,12 @@ import pytest
 
 from flowsieve import ingest
 from flowsieve.errors import ConfigError
-from flowsieve.records import LabelClass, PartitionTag, validate_record
+from flowsieve.records import LAB_DEVICE_ID, LabelClass, PartitionTag
 from separability import separability_check
 from flowsieve.synth import (
+    BEHAVIORS,
     BehaviorKind,
-    BehaviorSpec,
     SynthConfig,
-    default_behaviors,
     generate,
 )
 
@@ -23,20 +22,6 @@ def _csv_bytes(flows) -> bytes:
 
 
 class TestConfigValidation:
-    def test_rates_must_be_positive(self):
-        bad = tuple(
-            spec if spec.kind is not BehaviorKind.FREQUENT else
-            BehaviorSpec(**{**spec.__dict__, "rate_per_device_hour": 0.0})
-            for spec in default_behaviors()
-        )
-        with pytest.raises(ConfigError, match="rate"):
-            SynthConfig(behaviors=bad)
-
-    def test_needs_a_frequent_behavior(self):
-        rare_only = tuple(s for s in default_behaviors() if s.kind is BehaviorKind.RARE_BENIGN)
-        with pytest.raises(ConfigError, match="frequent"):
-            SynthConfig(behaviors=rare_only)
-
     def test_split_must_sum_to_days(self):
         with pytest.raises(ConfigError, match="split_days"):
             SynthConfig(days=7, split_days=(4, 1, 1))
@@ -65,9 +50,20 @@ class TestGenerate:
             if flow.actual_label.is_attack:
                 assert flow.partition is PartitionTag.TEST
 
-    def test_records_validate(self, synth_flows):
+    def test_records_validate(self, synth_flows, synth_config):
+        lab = synth_config.lab_network_id
         for flow in synth_flows[::97]:
-            assert validate_record(flow) == []
+            assert flow.packet_delta_count >= 1 and flow.octet_delta_count >= 0
+            assert flow.flow_duration_milliseconds >= 0
+            assert (flow.inter_arrival_time_milliseconds or 0) >= 0
+            assert (flow.same_dest_port_count_pool or 0) >= 0 and (flow.same_dest_ip_count_pool or 0) >= 0
+            assert abs(flow.avg_packet_size * flow.packet_delta_count - flow.octet_delta_count) <= 0.5
+            assert 0 <= flow.tcp_control_bits < 64
+            assert (flow.device_id == LAB_DEVICE_ID) == (flow.source_network_id == lab)
+            assert not flow.actual_label.is_attack or flow.source_network_id == lab
+            if flow.dns_host_pct_numerical_chars is not None:
+                assert flow.has_dns_request_from_pool
+                assert 0.0 <= flow.dns_host_pct_numerical_chars <= 100.0
 
     def test_poisson_flow_count_within_three_sigma(self):
         config = SynthConfig(days=21, split_days=(13, 3, 5))
@@ -75,12 +71,12 @@ class TestGenerate:
         hours = config.days * 24
         test_hours = config.split_days[2] * 24
         mean = 0.0
-        for spec in config.behaviors:
+        for spec in BEHAVIORS:
             if spec.kind.is_attack:
                 mean += spec.rate_per_device_hour * test_hours  # lab device only
             else:
                 mean += spec.rate_per_device_hour * 8 * hours
-        planted = 2 * sum(1 for s in config.behaviors if s.kind is BehaviorKind.RARE_BENIGN)
+        planted = 2 * sum(1 for s in BEHAVIORS if s.kind is BehaviorKind.RARE_BENIGN)
         mean += planted
         sigma = math.sqrt(mean)
         assert abs(len(flows) - mean) <= 3 * sigma
@@ -89,7 +85,7 @@ class TestGenerate:
         # distinct destination ports per attack hour at least 10x any
         # benign behavior's total port vocabulary
         benign_max_ports = max(
-            len(s.dest_ports) for s in synth_config.behaviors if not s.kind.is_attack
+            len(s.dest_ports) for s in BEHAVIORS if not s.kind.is_attack
         )
         scan_hours = {}
         for flow in synth_flows:
@@ -102,7 +98,7 @@ class TestGenerate:
     def test_rare_benign_spans_networks(self, synth_flows, synth_config):
         rare_prefixes = {
             spec.dest_prefixes: spec.name
-            for spec in synth_config.behaviors
+            for spec in BEHAVIORS
             if spec.kind is BehaviorKind.RARE_BENIGN
         }
         for prefixes, name in rare_prefixes.items():
