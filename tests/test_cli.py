@@ -17,7 +17,7 @@ from flowsieve.clustering import Filter2Model
 from flowsieve.config import PipelineConfig
 from flowsieve.errors import DegenerateDataError
 from flowsieve.metrics import build_eval_report, pr_curve, verdict_scores
-from flowsieve.records import ATTACK_CLASSES
+from flowsieve.records import ATTACK_CLASSES, LAB_NETWORK_ID
 
 
 @pytest.fixture(scope="module")
@@ -369,6 +369,15 @@ class TestErrorPaths:
         assert list(tmp_path.iterdir()) == [capture]
         assert main(argv + ["--lab-network", "10"]) == 0
 
+    def test_lab_network_defaults_to_the_records_constant(self, workdir, tmp_path):
+        # the shared run names --lab-network 5; leaving it out writes the same files
+        assert LAB_NETWORK_ID == 5
+        outdir = tmp_path / "data"
+        argv = ["ingest", "--input", str(workdir / "synthetic.csv"), "--outdir", str(outdir)]
+        assert main(argv + ["--split", "4,1,2"]) == 0
+        for name in ("training.csv", "validation.csv", "test.csv", "cleansing_report.json"):
+            assert (outdir / name).read_bytes() == (workdir / "data" / name).read_bytes()
+
     def test_missing_input_is_data_error(self, tmp_path):
         assert (
             main(["ingest", "--input", str(tmp_path / "absent.csv"), "--outdir", str(tmp_path)])
@@ -561,6 +570,13 @@ class TestErrorPaths:
         assert self._detect(workdir, plain, "--mode", "per-cluster") == 0
         assert self._detect(workdir, with_tau, "--mode", "per-cluster", "--tau", "1.5") == 0
         assert plain.read_bytes() == with_tau.read_bytes()
+
+    def test_no_configured_threshold_falls_back_to_the_field_default(self, workdir, tmp_path):
+        by_default, unset = tmp_path / "default.csv", tmp_path / "unset.csv"
+        default = PipelineConfig().global_tanh_threshold
+        assert self._detect(workdir, by_default, "--tau", str(default)) == 0
+        assert self._detect(workdir, unset, "--set", "global_tanh_threshold=none") == 0
+        assert unset.read_bytes() == by_default.read_bytes()
 
     def test_tau_and_configured_threshold_agree(self, workdir, tmp_path):
         by_flag, by_config = tmp_path / "flag.csv", tmp_path / "config.csv"

@@ -258,6 +258,35 @@ class TestParserMatchesReference:
         ingest.write_dataset(synth_flows[:3000], buffer)
         _assert_same_parse(buffer.getvalue())
 
+    def test_every_rejected_row_is_counted_by_reason(self):
+        columns = list(ingest.CANONICAL_COLUMNS)
+        row = _good_row(columns)
+        row[columns.index("octet_delta_count")] = "many"
+        text = "\n".join([",".join(columns)] + [",".join(row)] * 150) + "\n"
+        _assert_same_parse(text)
+        records, report = ingest.parse_dataset(text.encode("utf-8"))
+        assert records == []
+        assert report.to_dict() == {
+            "rows_read": 150,
+            "rows_rejected": 150,
+            "reject_reasons": {"unparsable numeric octet_delta_count": 150},
+        }
+
+    def test_blank_rows_are_not_read(self):
+        columns = list(ingest.CANONICAL_COLUMNS)
+        bad = _good_row(columns)
+        bad[columns.index("device_id")] = "?"
+        good = _good_row(columns)
+        text = "\n".join([",".join(columns), "", " , ", ",".join(bad), ",".join(good)]) + "\n"
+        _assert_same_parse(text)
+        records, report = ingest.parse_dataset(text.encode("utf-8"))
+        assert len(records) == 1
+        assert report.to_dict() == {
+            "rows_read": 2,
+            "rows_rejected": 1,
+            "reject_reasons": {"unparsable numeric device_id": 1},
+        }
+
 
 # -- record copies -------------------------------------------------------------
 

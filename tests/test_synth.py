@@ -27,6 +27,22 @@ class TestConfigValidation:
             SynthConfig(days=7, split_days=(4, 1, 1))
 
 
+class TestBehaviors:
+    # the constant's invariants that generate relies on
+    def test_rates_are_positive(self):
+        assert all(spec.rate_per_device_hour > 0 for spec in BEHAVIORS)
+
+    def test_has_a_frequent_behavior(self):
+        assert any(spec.kind is BehaviorKind.FREQUENT for spec in BEHAVIORS)
+
+    def test_every_behavior_has_ports_and_prefixes(self):
+        for spec in BEHAVIORS:
+            assert spec.dest_ports and spec.dest_prefixes, spec.name
+
+    def test_every_kind_is_generated(self):
+        assert {spec.kind for spec in BEHAVIORS} == set(BehaviorKind)
+
+
 class TestGenerate:
     def test_deterministic_output(self, synth_config, synth_flows):
         again = generate(SynthConfig())
@@ -64,6 +80,16 @@ class TestGenerate:
             if flow.dns_host_pct_numerical_chars is not None:
                 assert flow.has_dns_request_from_pool
                 assert 0.0 <= flow.dns_host_pct_numerical_chars <= 100.0
+
+    def test_lab_network_follows_the_home_count(self):
+        # ten homes: the lab device and every attack on network 10, none on 5
+        config = SynthConfig(n_homes=10, days=3, split_days=(1, 1, 1))
+        flows = generate(config)
+        assert config.lab_network_id == 10
+        assert {f.source_network_id for f in flows if f.actual_label.is_attack} == {10}
+        assert {f.source_network_id for f in flows if f.device_id == LAB_DEVICE_ID} == {10}
+        assert all(f.device_id != LAB_DEVICE_ID for f in flows if f.source_network_id == 5)
+        assert any(f.source_network_id == 5 for f in flows)
 
     def test_poisson_flow_count_within_three_sigma(self):
         config = SynthConfig(days=21, split_days=(13, 3, 5))
