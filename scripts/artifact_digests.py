@@ -4,7 +4,8 @@
 
 runs, in a temporary directory and with one BLAS thread,
 
-    synth -> ingest -> train -> calibrate (of a copy of the models)
+    synth -> ingest -> ingest of the capture as a raw export
+    -> train -> calibrate (of a copy of the models)
     -> detect (global-tanh and per-cluster)
     -> eval --pr-curve of each -> eval --from-confusion (with a 0/0 case)
     -> bench -> grid (epochs_max=2 patience_max=2 k_max=3)
@@ -12,13 +13,17 @@ runs, in a temporary directory and with one BLAS thread,
 
 with the package under DIR/src (default: this checkout), and prints
 "<sha256>  <path>" for every file the chain wrote and for the stdout of
-every step. Two checkouts that write the same bytes print the same lines,
+every step. The raw export, raw.csv, is the capture with the cells
+ingest computes left blank (inter-arrival times, pool counters and
+partition tags), so its ingest into data-raw/ copies every record it
+keeps. Two checkouts that write the same bytes print the same lines,
 so `diff` of two outputs checks a change against its parent, or a rerun
 against itself.
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import os
 import shutil
@@ -30,6 +35,8 @@ from pathlib import Path
 CHAIN = [
     ("synth", ["synth", "--split", "{split}", "--seed", "{seed}", "--out", "capture.csv"]),
     ("ingest", ["ingest", "--input", "capture.csv", "--outdir", "data", "--split", "{split}"]),
+    # ingest of raw.csv, written from capture.csv first
+    ("ingest-raw", ["ingest", "--input", "raw.csv", "--outdir", "data-raw", "--split", "{split}"]),
     ("train", ["train", "--data", "data", "--outdir", "models"]),
     # calibrate loads both models and writes them back
     ("calibrate", ["calibrate", "--data", "data", "--models", "calibrated"]),
@@ -62,6 +69,27 @@ CHAIN = [
 ]
 
 
+# Columns a raw export leaves blank: ingest computes them.
+RAW_BLANK_COLUMNS = (
+    "inter_arrival_time_milliseconds",
+    "same_dest_port_count_pool",
+    "same_dest_IP_count_pool",
+    "partition",
+)
+
+
+def write_raw_export(capture: Path, target: Path) -> None:
+    """Copy capture to target with the RAW_BLANK_COLUMNS cells blank."""
+    with open(capture, newline="", encoding="utf-8") as stream:
+        header, *rows = csv.reader(stream)
+    blank = [header.index(name) for name in RAW_BLANK_COLUMNS]
+    for row in rows:
+        for i in blank:
+            row[i] = ""
+    with open(target, "w", newline="", encoding="utf-8") as stream:
+        csv.writer(stream, lineterminator="\n").writerows([header, *rows])
+
+
 def run_chain(src: Path, seed: int, split: str, workdir: Path) -> None:
     """Run every step in workdir; each step's stdout goes to stdout/<step>."""
     env = {**os.environ, "PYTHONPATH": str(src / "src"), "OPENBLAS_NUM_THREADS": "1"}
@@ -70,6 +98,8 @@ def run_chain(src: Path, seed: int, split: str, workdir: Path) -> None:
         argv = [arg.format(seed=seed, split=split) for arg in argv]
         if step == "calibrate":  # it rewrites its models in place
             shutil.copytree(workdir / "models", workdir / "calibrated")
+        elif step == "ingest-raw":
+            write_raw_export(workdir / "capture.csv", workdir / "raw.csv")
         done = subprocess.run(
             [sys.executable, "-m", "flowsieve.cli", *argv], cwd=workdir, env=env, capture_output=True
         )

@@ -345,10 +345,13 @@ def _cmd_detect(args) -> int:
     if not records:
         raise DataError("no parseable rows in input")
     table = pipeline.classify_flows(trained, records)
-    frequent = table.frequent.tolist()
+    blank = np.flatnonzero(table.frequent).tolist()
 
     def cluster_cells(values) -> list[str]:
-        return ["" if blank else cell for blank, cell in zip(frequent, values)]
+        cells = list(values)
+        for i in blank:
+            cells[i] = ""
+        return cells
 
     label = {True: FinalLabel.MALICIOUS.value, False: FinalLabel.BENIGN.value}
     columns = [
@@ -356,14 +359,17 @@ def _cmd_detect(args) -> int:
         [str(record.device_id) for record in records],
         [str(record.flow_start) for record in records],
         map(repr, table.mse.tolist()),
-        ["true" if cell else "false" for cell in frequent],
+        ["true" if cell else "false" for cell in table.frequent.tolist()],
         cluster_cells(map(str, table.assigned_cluster.tolist())),
         cluster_cells(map(repr, table.distance.tolist())),
         cluster_cells(map(repr, table.tanh_score.tolist())),
         [label[cell] for cell in table.malicious.tolist()],
         [record.actual_label.value for record in records],
     ]
-    _write_outputs({Path(args.out): _csv_text([VERDICT_HEADER, *zip(*columns)])})
+    # No verdict cell holds a comma, a quote or a line break, so joining
+    # the cells writes the bytes csv.writer would.
+    lines = [",".join(VERDICT_HEADER), *map(",".join, zip(*columns))]
+    _write_outputs({Path(args.out): "\n".join(lines) + "\n"})
     print(f"classified {len(table)} flows, {int(table.malicious.sum())} malicious")
     return 0
 
@@ -411,6 +417,20 @@ def _not_nan_float(text: str) -> float:
     return value
 
 
+def _memoized(parse):
+    """`parse` with a memo of the cells it parsed; a cell that fails is
+    not remembered, so it fails again wherever it occurs."""
+    memo = {}
+
+    def parse_cell(cell: str):
+        value = memo.get(cell)
+        if value is None:
+            value = memo[cell] = parse(cell)
+        return value
+
+    return parse_cell
+
+
 def _read_verdict_csv(path: Path):
     """The verdict table and actual labels of a file detect wrote; a
     missing column or a cell that does not parse is a data error naming
@@ -449,7 +469,7 @@ def _read_verdict_csv(path: Path):
         values[infrequent] = column(name, parse, infrequent)
         return values
 
-    labels = column("actual_label", LabelClass.parse)
+    labels = column("actual_label", _memoized(LabelClass.parse))
     mse = column("mse", _non_negative_float)
     frequent = np.array([row[position["frequent"]] == "true" for row in rows], dtype=bool)
     infrequent = np.flatnonzero(~frequent)

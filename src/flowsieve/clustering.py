@@ -15,6 +15,7 @@ either way.
 """
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass, field
@@ -71,6 +72,15 @@ def _finite_values(matrix: np.ndarray) -> np.ndarray:
     return x
 
 
+def _weighted_index(weights: np.ndarray, total: float, rng: np.random.Generator) -> int:
+    """The index ``rng.choice(len(weights), p=weights / total)`` draws,
+    taking the same one number from rng, without choice's checks of p;
+    total is the positive, finite sum of the non-negative weights."""
+    cdf = (weights / total).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _plus_plus_init(
     x: np.ndarray, k: int, rng: np.random.Generator, x_sq: np.ndarray
 ) -> np.ndarray:
@@ -83,8 +93,10 @@ def _plus_plus_init(
         total = closest_sq.sum()
         if total <= 0.0:
             choice = int(rng.integers(n))
+        elif math.isfinite(total):
+            choice = _weighted_index(closest_sq, total, rng)
         else:
-            choice = int(rng.choice(n, p=closest_sq / total))
+            raise DataError("clustering input is too large: its squared distances overflow")
         centroids[i] = x[choice]
         np.minimum(closest_sq, pairwise_sq_dists(x, centroids[i : i + 1], x_sq)[:, 0], out=closest_sq)
     return centroids

@@ -292,50 +292,52 @@ def _row_converter(to_int, parse_int):
         except ValueError:
             port_number = parse_int(port, DESTINATION_PORT_COLUMN)
 
-        return FlowRecord(
+        # FlowRecord(*fields), skipping the constructor's argument handling
+        return tuple.__new__(FlowRecord, (
             device_id, network_id, flow_start, protocol_id, duration_ms, octet_count,
             packet_count, avg_packet_size, end_reason, tcp, net_class, prefix or None,
             iat_ms, reputation, port_count, ip_count, has_dns, dns_pct_value, actual_label,
             tag, port_number,
-        )
+        ))
 
     return _row_to_record
 
 
 def record_to_row(record: FlowRecord, include_port: bool) -> list[str]:
-    day, hour, minute, second, millisecond = split_flow_start(record.flow_start)
-
-    def opt(value) -> str:
-        return "" if value is None else str(value)
-
+    (
+        device_id, network_id, flow_start, protocol_id, duration_ms, octet_count, packet_count,
+        avg_packet_size, end_reason, tcp_bits, net_class, prefix, iat_ms, reputation, port_count,
+        ip_count, has_dns, dns_pct, actual_label, partition, port,
+    ) = record
+    day, hour, minute, second, millisecond = split_flow_start(flow_start)
     row = [
-        str(record.device_id),
+        str(device_id),
         str(day),
         str(hour),
         str(minute),
         str(second),
         str(millisecond),
-        str(record.source_network_id),
-        str(record.protocol_identifier),
-        str(record.flow_duration_milliseconds),
-        str(record.octet_delta_count),
-        str(record.packet_delta_count),
-        repr(record.avg_packet_size),
-        record.flow_end_reason,
-        str(record.tcp_control_bits),
-        record.network_class_of_destination,
-        opt(record.destination_network_prefix),
-        opt(record.inter_arrival_time_milliseconds),
-        record.reputation_status,
-        opt(record.same_dest_port_count_pool),
-        opt(record.same_dest_ip_count_pool),
-        "true" if record.has_dns_request_from_pool else "false",
-        "" if record.dns_host_pct_numerical_chars is None else repr(record.dns_host_pct_numerical_chars),
-        record.actual_label.value,
-        "" if record.partition is None else record.partition.value,
+        str(network_id),
+        str(protocol_id),
+        str(duration_ms),
+        str(octet_count),
+        str(packet_count),
+        repr(avg_packet_size),
+        end_reason,
+        str(tcp_bits),
+        net_class,
+        "" if prefix is None else prefix,
+        "" if iat_ms is None else str(iat_ms),
+        reputation,
+        "" if port_count is None else str(port_count),
+        "" if ip_count is None else str(ip_count),
+        "true" if has_dns else "false",
+        "" if dns_pct is None else repr(dns_pct),
+        actual_label.value,
+        "" if partition is None else partition.value,
     ]
     if include_port:
-        row.append(opt(record.destination_port))
+        row.append("" if port is None else str(port))
     return row
 
 
@@ -346,8 +348,9 @@ def write_dataset(records: Iterable[FlowRecord], target: IO[str]) -> None:
     header = list(CANONICAL_COLUMNS) + ([DESTINATION_PORT_COLUMN] if include_port else [])
     writer = csv.writer(target, lineterminator="\n")
     writer.writerow(header)
-    for record in records:
-        writer.writerow(record_to_row(record, include_port))
+    # A generator, not a list: the rows of a large partition held at once
+    # would raise peak memory for no gain in speed.
+    writer.writerows(record_to_row(record, include_port) for record in records)
 
 
 def compute_iat(flows: list[FlowRecord]) -> list[FlowRecord]:

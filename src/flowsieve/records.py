@@ -7,10 +7,8 @@ time fields published in the CSV schema can always be reconstructed.
 """
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -87,8 +85,7 @@ def split_flow_start(ms: int) -> tuple[int, int, int, int, int]:
     return day, hour, minute, second, millisecond
 
 
-@dataclass(frozen=True, slots=True)
-class FlowRecord:
+class FlowRecord(NamedTuple):
     """One enriched outbound flow with identifiers and ground-truth label.
 
     Pool counters and the inter-arrival time are optional until the
@@ -130,24 +127,19 @@ class FlowRecord:
         return self.flow_start // MS_PER_DAY
 
 
-_FIELD_INDEX = {f.name: i for i, f in enumerate(fields(FlowRecord))}
-_field_values = operator.attrgetter(*_FIELD_INDEX)
+_FIELD_INDEX = {name: i for i, name in enumerate(FlowRecord._fields)}
 
 
 def copy_record(record: FlowRecord, **changes) -> FlowRecord:
-    """``dataclasses.replace`` for a FlowRecord, at about half the cost.
-
-    Reads every field with one getter and calls the constructor
-    positionally. Like ``replace``, an unknown field name raises
-    TypeError.
-    """
-    values = list(_field_values(record))
+    """``FlowRecord._replace``, except that an unknown field name raises
+    TypeError, not ValueError."""
+    values = list(record)
     for name, value in changes.items():
         try:
             values[_FIELD_INDEX[name]] = value
         except KeyError:
             raise TypeError(f"FlowRecord has no field {name!r}") from None
-    return FlowRecord(*values)
+    return FlowRecord._make(values)
 
 
 # Names of the TCP control bits in bit-field order (bit 0 first).

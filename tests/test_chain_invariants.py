@@ -5,6 +5,10 @@
   treatments;
 - `detect` on `training.csv` marks infrequent exactly the rows `train`
   clustered;
+- the verdict file `detect` writes is the text a csv writer gives its
+  rows, in both verdict modes;
+- `calibrate` on the partitions `train` used rewrites both model files
+  byte for byte;
 - `ingest` of its own three partitions writes `validation.csv` and
   `test.csv` again byte for byte, while `training.csv` loses the rows in
   the warm-up window of the shorter capture, and then the rows whose
@@ -16,6 +20,7 @@ capture seeds from a small pool so that its examples share them.
 import csv
 import dataclasses
 import functools
+import shutil
 from collections import Counter
 
 import numpy as np
@@ -25,7 +30,7 @@ from hypothesis import strategies as st
 
 from flowsieve import autoencoder, encode, ingest, pipeline
 from flowsieve.autoencoder import Filter1Model
-from flowsieve.cli import main
+from flowsieve.cli import _csv_text, main
 from flowsieve.clustering import Filter2Model, kmeans_fit, seed_for_k
 from flowsieve.config import PipelineConfig
 from flowsieve.records import VERDICT_DTYPE
@@ -128,6 +133,31 @@ def test_detect_on_training_marks_infrequent_the_rows_train_clustered(root, seed
     refit = kmeans_fit(x[clustered], k_star, seed_for_k(PipelineConfig().rng_seed, k_star))
     assert np.array_equal(refit.centroids, trained.filter2.centroids)
     assert np.array_equal(marked, clustered)
+
+
+@pytest.mark.parametrize("per_cluster", [False, True])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_detect_writes_what_a_csv_writer_would(root, seed, per_cluster):
+    models = _models(root, seed, "drop")
+    verdicts = models / f"verdicts-{per_cluster}.csv"
+    mode = ["--mode", "per-cluster"] if per_cluster else []
+    _run(["detect", "--models", models, "--input", _chain_root(root, seed) / "data" / "test.csv",
+          "--out", verdicts, *mode])
+    text = verdicts.read_text(encoding="utf-8")
+    with open(verdicts, newline="", encoding="utf-8") as stream:
+        rows = list(csv.reader(stream))
+    assert len(rows) > 1 and any(row[rows[0].index("frequent")] == "true" for row in rows[1:])
+    assert text == _csv_text(rows)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_calibrate_on_the_training_partitions_is_a_fixed_point(root, seed):
+    models = _models(root, seed, "drop")
+    calibrated = models.with_name(models.name + "-calibrated")
+    shutil.copytree(models, calibrated)
+    _run(["calibrate", "--data", _chain_root(root, seed) / "data", "--models", calibrated])
+    for name in ("filter1.json", "filter2.json"):
+        assert (calibrated / name).read_bytes() == (models / name).read_bytes(), name
 
 
 def _hour(row: list[str], header: list[str]) -> int:

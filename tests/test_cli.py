@@ -12,12 +12,12 @@ import pytest
 import flowsieve
 from flowsieve import clustering, ingest, pipeline
 from flowsieve.autoencoder import Filter1Model
-from flowsieve.cli import _write_outputs, main
+from flowsieve.cli import _read_verdict_csv, _write_outputs, main
 from flowsieve.clustering import Filter2Model
 from flowsieve.config import PipelineConfig
 from flowsieve.errors import DegenerateDataError
 from flowsieve.metrics import build_eval_report, pr_curve, verdict_scores
-from flowsieve.records import ATTACK_CLASSES, LAB_NETWORK_ID
+from flowsieve.records import ATTACK_CLASSES, LAB_NETWORK_ID, LabelClass
 
 
 @pytest.fixture(scope="module")
@@ -704,6 +704,31 @@ class TestErrorPaths:
         assert column in error
         if line:
             assert f"line {line['number']}:" in error
+
+    def test_eval_parses_every_label_cell_and_names_the_first_bad_one(self, workdir, tmp_path, capsys):
+        verdicts = tmp_path / "verdicts.csv"
+        assert self._detect(workdir, verdicts) == 0
+        spelled = tmp_path / "spelled.csv"
+        bad = tmp_path / "bad.csv"
+
+        def spell(header, rows):
+            at = header.index("actual_label")
+            for i in (1, 4):
+                rows[i][at] = "Being_Scanned_by_NMAP"
+
+        def spell_and_break(header, rows):
+            spell(header, rows)
+            at = header.index("actual_label")
+            rows[6][at] = rows[9][at] = "Being_Scanned_by_NMAPx"
+
+        _rewrite_csv(verdicts, spelled, spell)
+        _rewrite_csv(verdicts, bad, spell_and_break)
+        _, labels = _read_verdict_csv(spelled)
+        assert labels[1] is labels[4] is LabelClass.BEING_SCANNED_BY_NMAP
+        report = tmp_path / "report.json"
+        assert main(["eval", "--verdicts", str(bad), "--out", str(report)]) == 2
+        assert not report.exists()
+        assert "line 8: invalid actual_label 'Being_Scanned_by_NMAPx'" in capsys.readouterr().err
 
     def test_bench_refuses_an_empty_validation_partition(self, workdir, tmp_path, capsys):
         data = tmp_path / "data"

@@ -48,6 +48,21 @@ def brute_force_silhouette(x: np.ndarray, assignments: np.ndarray) -> float:
     return float(np.mean(scores))
 
 
+@st.composite
+def _draw_weights(draw):
+    """Non-negative k-means++ weights with a positive sum: zeros among
+    them, a single nonzero one, or all scaled to tiny or subnormal sizes."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    weights = np.zeros(n)
+    if draw(st.booleans()):
+        values = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e6))
+        weights[:] = draw(st.lists(values, min_size=n, max_size=n))
+    weights[draw(st.integers(0, n - 1))] = draw(st.floats(min_value=1e-3, max_value=1e6))
+    weights *= draw(st.sampled_from([1.0, 1e-300, 1e-320]))
+    assert weights.sum() > 0
+    return weights
+
+
 class TestKMeans:
     def test_two_clouds_recovered(self):
         rng = np.random.default_rng(0)
@@ -92,6 +107,26 @@ class TestKMeans:
         init = clustering._plus_plus_init(x, 4, np.random.default_rng(7), x_sq)
         seeded_inertia = float(pairwise_sq_dists(x, init, x_sq).min(axis=1).sum())
         assert clustering._lloyd(x, init, x_sq).inertia <= seeded_inertia + 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(weights=_draw_weights(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @example(weights=np.array([0.7]), seed=0)
+    def test_weighted_draw_is_rng_choice(self, weights, seed):
+        """The k-means++ draw takes the index, and leaves the generator in
+        the state, that rng.choice(n, p=weights / total) does."""
+        total = weights.sum()
+        got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            index = clustering._weighted_index(weights, total, got)
+            assert index == int(want.choice(len(weights), p=weights / total))
+            assert weights[index] > 0
+            assert got.bit_generator.state == want.bit_generator.state
+
+    @pytest.mark.parametrize("huge", [1e200, 1e154])
+    def test_input_whose_squared_distances_overflow_is_data_error(self, huge):
+        x = np.array([[huge, huge], [0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        with np.errstate(all="ignore"), pytest.raises(DataError, match="overflow"):
+            clustering.kmeans_fit(x, 2, seed=0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_input_is_data_error(self, bad):

@@ -6,9 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowsieve import ingest
+from flowsieve.cli import VERDICT_HEADER
 from flowsieve.records import (
+    FinalLabel,
+    FlowRecord,
     LabelClass,
     PartitionTag,
+    copy_record,
     flow_start_ms,
     split_flow_start,
     verdict_table,
@@ -120,3 +124,67 @@ class TestCsvRoundTrip:
         parsed, report = ingest.parse_dataset(buffer.getvalue().encode("utf-8"))
         assert report.rows_rejected == 0
         assert parsed == records
+        assert all(type(record) is FlowRecord for record in parsed)
+
+
+# Every field with a value no other field holds, and the CSV cells that
+# carry them.
+_DISTINCT_FIELDS = {
+    "device_id": 11,
+    "source_network_id": 12,
+    "flow_start": flow_start_ms(3, 4, 5, 6, 7),
+    "protocol_identifier": 13,
+    "flow_duration_milliseconds": 14,
+    "octet_delta_count": 15,
+    "packet_delta_count": 16,
+    "avg_packet_size": 17.5,
+    "flow_end_reason": "reason",
+    "tcp_control_bits": 18,
+    "network_class_of_destination": "class",
+    "destination_network_prefix": "prefix",
+    "inter_arrival_time_milliseconds": 19,
+    "reputation_status": "reputation",
+    "same_dest_port_count_pool": 20,
+    "same_dest_ip_count_pool": 21,
+    "has_dns_request_from_pool": True,
+    "dns_host_pct_numerical_chars": 22.5,
+    "actual_label": LabelClass.EXECUTING_CRYPTOMINING,
+    "partition": PartitionTag.VALIDATION,
+    "destination_port": 23,
+}
+_DISTINCT_CELLS = [
+    "11", "3", "4", "5", "6", "7", "12", "13", "14", "15", "16", "17.5", "reason", "18", "class",
+    "prefix", "19", "reputation", "20", "21", "true", "22.5", "is executing cryptomining",
+    "validation", "23",
+]
+
+
+class TestRecordContract:
+    """The parser and the partition writer build and read records by
+    position, so the field order is part of the record type."""
+
+    def test_fields_are_in_parser_order(self):
+        assert FlowRecord._fields == tuple(_DISTINCT_FIELDS)
+        header = ",".join(ingest.CANONICAL_COLUMNS + (ingest.DESTINATION_PORT_COLUMN,))
+        text = f"{header}\n{','.join(_DISTINCT_CELLS)}\n"
+        [record], report = ingest.parse_dataset(text.encode("utf-8"))
+        assert report.rows_rejected == 0
+        assert record._asdict() == _DISTINCT_FIELDS
+        buffer = io.StringIO()
+        ingest.write_dataset([record], buffer)
+        assert buffer.getvalue() == text
+
+    @settings(max_examples=50, deadline=None)
+    @given(flow_records(), st.sampled_from(FlowRecord._fields), flow_records())
+    def test_copy_record_returns_a_record(self, record, name, other):
+        copied = copy_record(record, **{name: getattr(other, name)})
+        assert type(copied) is FlowRecord
+        assert copied == record._replace(**{name: getattr(other, name)})
+
+    @pytest.mark.parametrize(
+        "text",
+        [*VERDICT_HEADER, *(label.value for label in LabelClass), *(label.value for label in FinalLabel)],
+    )
+    def test_verdict_words_need_no_csv_quoting(self, text):
+        # detect joins verdict cells with commas instead of a csv writer
+        assert not set(text) & set(',"\r\n')
