@@ -19,6 +19,11 @@ partition tags), so its ingest into data-raw/ copies every record it
 keeps. Two checkouts that write the same bytes print the same lines,
 so `diff` of two outputs checks a change against its parent, or a rerun
 against itself.
+
+Each step runs in a session of its own. When a process of that session
+is still running a second after the step exited, such as a forked worker
+the step failed to reap, the script kills the session and exits non-zero
+naming the step.
 """
 from __future__ import annotations
 
@@ -27,9 +32,11 @@ import csv
 import hashlib
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 CHAIN = [
@@ -100,12 +107,42 @@ def run_chain(src: Path, seed: int, split: str, workdir: Path) -> None:
             shutil.copytree(workdir / "models", workdir / "calibrated")
         elif step == "ingest-raw":
             write_raw_export(workdir / "capture.csv", workdir / "raw.csv")
-        done = subprocess.run(
-            [sys.executable, "-m", "flowsieve.cli", *argv], cwd=workdir, env=env, capture_output=True
-        )
-        if done.returncode != 0:
-            sys.exit(f"{step} exited {done.returncode}: {done.stderr.decode(errors='replace')}")
-        (workdir / "stdout" / step).write_bytes(done.stdout)
+        run_step(step, [sys.executable, "-m", "flowsieve.cli", *argv], workdir, env)
+
+
+def run_step(step: str, command: list[str], workdir: Path, env: dict) -> None:
+    """Run one step in a session of its own; exit naming the step if it
+    fails or leaves a process of its session running.
+
+    The step writes to files, not pipes, so a process it leaves behind
+    holding them open cannot stall this script."""
+    with open(workdir / "stdout" / step, "wb") as out, tempfile.TemporaryFile() as err:
+        with subprocess.Popen(
+            command, cwd=workdir, env=env, stdout=out, stderr=err, start_new_session=True
+        ) as child:
+            code = child.wait()
+        # the step led its session, whose process group id is its pid
+        left_running = session_left_running(child.pid)
+        if code != 0:
+            err.seek(0)
+            sys.exit(f"{step} exited {code}: {err.read().decode(errors='replace')}")
+    if left_running:
+        sys.exit(f"{step} left a process of its session running; the session was killed")
+
+
+def session_left_running(pgid: int, grace: float = 1.0) -> bool:
+    """Whether a process of process group `pgid` is still running after
+    `grace` seconds; if one is, the group is killed."""
+    deadline = time.monotonic() + grace
+    try:
+        while True:
+            os.killpg(pgid, 0)
+            if time.monotonic() >= deadline:
+                os.killpg(pgid, signal.SIGKILL)
+                return True
+            time.sleep(0.05)
+    except ProcessLookupError:  # no process of the group is left
+        return False
 
 
 def main() -> None:

@@ -8,16 +8,14 @@ restart with the lowest inertia wins. Empty clusters are reseeded to the
 point farthest from its nearest centroid.
 
 The k sweep of `train_filter2` fits each k on one forked worker process
-per usable CPU, capped at the number of k values; with one usable CPU, or
-a sweep too small to pay for the pool, it runs in the calling process.
-Each k draws only from its own seeds, so the model is byte-identical
-either way.
+per usable CPU, capped at the number of k values, under the rules of
+`workers.forked_map`; a sweep too small to pay for the pool runs in the
+calling process. Each k draws only from its own seeds, so the model is
+byte-identical either way.
 """
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional, Sequence
@@ -38,6 +36,7 @@ from .stats import (
     row_sq_norms,
     seed_sequence,
 )
+from .workers import forked_map
 
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 300
@@ -384,51 +383,16 @@ def _fit_k(x: np.ndarray, seed: int, cap: int, k: int) -> _KFit:
 
 def _fit_every_k(x: np.ndarray, ks: Sequence[int], seed: int, cap: int) -> dict[int, _KFit]:
     """`_fit_k` for every k, largest k first so that the workers' loads
-    even out, on one forked worker per usable CPU (at most one per k).
+    even out, through `workers.forked_map`.
 
     The fits are independent and each draws only from its own k's seeds,
-    so a worker returns the same bits as the calling process would; with
-    one usable CPU, or a sweep under `_POOL_MIN_ROW_FITS`, the same
-    function runs here. A fork hands `x` to the workers without pickling
-    it and without the fresh imports of a spawned worker, which would cost
-    more than the sweep; the pool ends with this call. Fork copies only
-    the calling thread, so a lock another thread held would stay held in a
-    worker: a process with other threads fits every k here.
+    so a worker returns the same bits as the calling process would. A
+    sweep under `_POOL_MIN_ROW_FITS` fits every k here.
     """
     order = sorted(ks, reverse=True)
-    affinity = getattr(os, "sched_getaffinity", None)
-    workers = 1 if affinity is None else min(len(order), len(affinity(0)))
     small = x.shape[0] * len(order) < _POOL_MIN_ROW_FITS
-    if workers == 1 or small or threading.active_count() > 1:
-        return dict(zip(order, map(partial(_fit_k, x, seed, cap), order)))
-
-    # imported here, so that commands which never fit skip loading them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_worker,
-        initargs=(x, seed, cap),
-    ) as pool:
-        try:
-            return dict(zip(order, pool.map(_fit_k_in_worker, order)))
-        except BaseException:
-            pool.shutdown(cancel_futures=True)  # the error stands; skip the other k
-            raise
-
-
-_worker_task = None  # set in each worker by the pool's initializer
-
-
-def _start_worker(x: np.ndarray, seed: int, cap: int) -> None:
-    global _worker_task
-    _worker_task = partial(_fit_k, x, seed, cap)
-
-
-def _fit_k_in_worker(k: int) -> _KFit:
-    return _worker_task(k)
+    with forked_map(partial(_fit_k, x, seed, cap), order, small=small) as results:
+        return dict(zip(order, results()))
 
 
 def _sampled_silhouette(

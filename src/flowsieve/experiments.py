@@ -8,6 +8,7 @@ not from reseeding. A failed combination is recorded, never fatal.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,6 +25,7 @@ from .errors import DataError, FlowSieveError
 from .metrics import auprc, macro_average, present_scenarios, verdict_scores
 from .pipeline import classify_matrix, evaluate_pipeline, train_encoded, train_pipeline
 from .records import FlowRecord
+from .workers import forked_map
 
 GRID_AXES: dict[str, tuple] = {
     "ip_treatment": (IpTreatment.DROP, IpTreatment.PREFIX_ONE_HOT),
@@ -134,7 +136,12 @@ def run_benchmark(
 ) -> dict:
     """AUPRC comparison of the two-step pipeline against the one-step
     detectors, all on the same encoded matrices; the one-step autoencoder
-    is the pipeline's frequency filter used alone."""
+    is the pipeline's frequency filter used alone.
+
+    The one-step k-means, LOF and isolation forest run through
+    `workers.forked_map` while this process trains and classifies with the
+    pipeline; where they run in this process, they run after it, so errors
+    surface in the serial order: pipeline, k-means, LOF, isolation forest."""
     labels = [flow.actual_label for flow in test]
     present = present_scenarios(labels)
     if not present:
@@ -144,8 +151,6 @@ def run_benchmark(
     train_matrix, val_matrix, test_matrix = (
         encode.apply_recipe(list(flows), recipe).values for flows in (training, validation, test)
     )
-    trained = train_encoded(recipe, train_matrix, val_matrix, config)
-    verdicts = classify_matrix(trained, test_matrix)
 
     notes = ["all reproduced detectors share the pipeline's feature encoding"]
     capped_train = {}
@@ -154,13 +159,18 @@ def run_benchmark(
         if capped:
             notes.append(f"{name} fitted on a seeded sample of {cap} training rows")
 
-    score_sets = {
-        "two_step": verdict_scores(verdicts),
-        "autoencoder": baselines.score_ae_one_step(trained.filter1, test_matrix),
-        "kmeans": baselines.score_kmeans_one_step(capped_train["kmeans"], test_matrix, config),
-        "lof": baselines.score_lof(capped_train["lof"], test_matrix),
-        "isolation_forest": baselines.score_if(train_matrix, test_matrix, seed=config.rng_seed),
+    one_step = {
+        "kmeans": partial(baselines.score_kmeans_one_step, capped_train["kmeans"], test_matrix, config),
+        "lof": partial(baselines.score_lof, capped_train["lof"], test_matrix),
+        "isolation_forest": partial(baselines.score_if, train_matrix, test_matrix, seed=config.rng_seed),
     }
+    with forked_map(lambda name: one_step[name](), list(one_step)) as one_step_scores:
+        trained = train_encoded(recipe, train_matrix, val_matrix, config)
+        score_sets = {
+            "two_step": verdict_scores(classify_matrix(trained, test_matrix)),
+            "autoencoder": baselines.score_ae_one_step(trained.filter1, test_matrix),
+        }
+        score_sets.update(zip(one_step, one_step_scores()))
     rows: dict[str, dict] = {}
     for name, scores in score_sets.items():
         scores = np.asarray(scores, dtype=float)

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 import flowsieve
-from flowsieve import clustering, ingest, pipeline
+from flowsieve import baselines, clustering, ingest, pipeline
 from flowsieve.autoencoder import Filter1Model
 from flowsieve.cli import _read_verdict_csv, _write_outputs, main
 from flowsieve.clustering import Filter2Model
 from flowsieve.config import PipelineConfig
-from flowsieve.errors import DegenerateDataError
+from flowsieve.errors import DataError, DegenerateDataError
 from flowsieve.metrics import build_eval_report, pr_curve, verdict_scores
 from flowsieve.records import ATTACK_CLASSES, LAB_NETWORK_ID, LabelClass
 
@@ -355,6 +355,22 @@ class TestErrorPaths:
             assert multiprocessing.active_children() == []
             errors.append(capsys.readouterr().err)
         assert errors == ["error: no fit at k=19\n"] * 2
+
+    def test_a_bench_worker_error_exits_as_on_one_cpu(self, workdir, tmp_path, monkeypatch, capsys):
+        def no_lof(*args, **kwargs):
+            raise DataError("no lof scores")
+
+        monkeypatch.setattr(baselines, "score_lof", no_lof)
+        quick = ["--set", "epochs_max=3", "--set", "patience_max=3", "--set", "k_max=3"]
+        errors = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)), raising=False)
+            out = tmp_path / f"bench-{cpus}.json"
+            assert main(["bench", "--data", str(workdir / "data"), "--out", str(out), *quick]) == 2
+            assert not out.exists()
+            assert multiprocessing.active_children() == []
+            errors.append(capsys.readouterr().err)
+        assert errors == ["error: no lof scores\n"] * 2
 
     def test_attacks_off_the_lab_network_are_data_error(self, tmp_path, capsys):
         # ten homes put the lab, and every attack, on network 10

@@ -1,9 +1,13 @@
 import math
+import multiprocessing
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from flowsieve import autoencoder, encode, experiments, ingest
+from flowsieve import autoencoder, baselines, clustering, encode, experiments, ingest
 from flowsieve.config import (
     ClusteringFeatures,
     DistanceMode,
@@ -23,6 +27,7 @@ from flowsieve.metrics import auprc, macro_average
 from flowsieve.pipeline import classify_flows, evaluate_pipeline, train_pipeline
 from flowsieve.records import ATTACK_CLASSES, LabelClass
 from flowsieve.synth import SynthConfig, generate
+from test_clustering import _usable_cpus
 
 
 @pytest.fixture(scope="module")
@@ -214,3 +219,101 @@ class TestBenchmark:
             run_benchmark(training, [], test, PipelineConfig(rng_seed=3))
         with pytest.raises(DataError):
             run_benchmark([], validation, test, PipelineConfig(rng_seed=3))
+
+
+class TestBenchmarkWorkers:
+    """The one-step detectors give the same report on one CPU as on forked
+    workers, and no worker outlives a benchmark."""
+
+    DETECTORS = ("score_kmeans_one_step", "score_lof", "score_if")
+    CONFIG = PipelineConfig(rng_seed=3, epochs_max=3, patience_max=3, k_max=4)
+
+    @staticmethod
+    def _detector_pids(monkeypatch, fail=None) -> list[tuple[str, int]]:
+        """(detector, process id) of every one-step detector run, as the
+        calling process records them: a detector on a worker records into
+        the worker's copy. Detectors named in `fail` raise instead."""
+        runs = []
+        for name in TestBenchmarkWorkers.DETECTORS:
+            real = getattr(baselines, name)
+
+            def detector(*args, name=name, real=real, **kwargs):
+                runs.append((name, os.getpid()))
+                if fail and name in fail:
+                    time.sleep(fail[name])
+                    raise DataError(f"{name} failed")
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(baselines, name, detector)
+        return runs
+
+    def test_one_cpu_and_workers_give_the_same_report(self, small_partitions, monkeypatch):
+        reports = {}
+        for cpus in (None, 1, 3):
+            _usable_cpus(monkeypatch, cpus)
+            runs = self._detector_pids(monkeypatch)
+            reports[cpus] = run_benchmark(*small_partitions, self.CONFIG)
+            assert multiprocessing.active_children() == []
+            if cpus == 3:
+                assert runs == []  # every detector ran on a worker
+            else:
+                assert runs == [(name, os.getpid()) for name in self.DETECTORS]
+        assert reports[None] == reports[1] == reports[3]
+        assert set(reports[3]["rows"]) == {"two_step", "autoencoder", "kmeans", "lof", "isolation_forest", "ocsvm"}
+
+    def test_the_pipeline_sweeps_in_process_while_the_detectors_run(self, small_partitions, monkeypatch):
+        _usable_cpus(monkeypatch, 3)
+        monkeypatch.setattr(clustering, "_POOL_MIN_ROW_FITS", 0)
+        fits, real = [], clustering.kmeans_fit
+
+        def fit(*args, **kwargs):
+            fits.append(os.getpid())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(clustering, "kmeans_fit", fit)
+        run_benchmark(*small_partitions, self.CONFIG)
+        # the pipeline's k = 2..4 fits; the one-step k-means fits on a worker
+        assert fits == [os.getpid()] * 3
+        assert multiprocessing.active_children() == []
+
+    def test_a_process_with_another_thread_runs_the_detectors_in_process(self, small_partitions, monkeypatch):
+        _usable_cpus(monkeypatch, 3)
+        runs = self._detector_pids(monkeypatch)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            run_benchmark(*small_partitions, self.CONFIG)
+        finally:
+            release.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+        assert runs == [(name, os.getpid()) for name in self.DETECTORS]
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_a_pipeline_failure_outranks_a_detector_failure(self, small_partitions, monkeypatch, cpus):
+        _usable_cpus(monkeypatch, cpus)
+        # k-means fails first on the clock; LOF would run for a minute
+        self._detector_pids(monkeypatch, fail={"score_kmeans_one_step": 0, "score_lof": 60})
+
+        def no_training(*args):
+            time.sleep(0.2)
+            raise DataError("pipeline failed")
+
+        monkeypatch.setattr(experiments, "train_encoded", no_training)
+        start = time.monotonic()
+        with pytest.raises(DataError, match="^pipeline failed$"):
+            run_benchmark(*small_partitions, self.CONFIG)
+        assert time.monotonic() - start < 30  # the running LOF was stopped
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_k_means_fails_before_lof(self, small_partitions, monkeypatch, cpus):
+        _usable_cpus(monkeypatch, cpus)
+        # LOF fails first on the clock; k-means still comes first in order
+        runs = self._detector_pids(monkeypatch, fail={"score_kmeans_one_step": 0.3, "score_lof": 0})
+        with pytest.raises(DataError, match="^score_kmeans_one_step failed$"):
+            run_benchmark(*small_partitions, self.CONFIG)
+        assert multiprocessing.active_children() == []
+        if cpus == 1:
+            assert runs == [("score_kmeans_one_step", os.getpid())]
