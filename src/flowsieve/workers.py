@@ -32,7 +32,7 @@ def forked_map(
     than a k sweep. Items and results are pickled. Leaving the `with` shuts
     the pool down and reaps its workers, so none outlives it. When the body
     raises, `results()` included, the items not yet done are dropped: the
-    queued ones are cancelled and the running ones stopped.
+    queued ones never start and the running ones are stopped.
 
     The items run in the calling process instead, one after another and
     only when `results` is called, so after the body's own work and in the
