@@ -5,18 +5,22 @@
 runs, in a temporary directory and with one BLAS thread,
 
     synth -> ingest -> ingest of the capture as a raw export
-    -> train -> calibrate (of a copy of the models)
+    -> train -> train with silhouette_sample_max=200
+    -> calibrate (of a copy of the models)
     -> detect (global-tanh and per-cluster)
     -> eval --pr-curve of each -> eval --from-confusion (with a 0/0 case)
-    -> bench -> grid (epochs_max=2 patience_max=2 k_max=3)
-    -> sweep --sizes 200,600
+    -> bench -> bench with silhouette_sample_max=200
+    -> grid (epochs_max=2 patience_max=2 k_max=3) -> sweep --sizes 200,600
 
 with the package under DIR/src (default: this checkout), and prints
 "<sha256>  <path>" for every file the chain wrote and for the stdout of
 every step. The raw export, raw.csv, is the capture with the cells
 ingest computes left blank (inter-arrival times, pool counters and
 partition tags), so its ingest into data-raw/ copies every record it
-keeps. Two checkouts that write the same bytes print the same lines,
+keeps. A fit on more infrequent rows than `silhouette_sample_max` scores
+its silhouettes on a seeded sample; no sweep of a synthetic capture of a
+few days has that many, so the two steps with a cap of 200 take that
+path. Two checkouts that write the same bytes print the same lines,
 so `diff` of two outputs checks a change against its parent, or a rerun
 against itself.
 
@@ -45,6 +49,10 @@ CHAIN = [
     # ingest of raw.csv, written from capture.csv first
     ("ingest-raw", ["ingest", "--input", "raw.csv", "--outdir", "data-raw", "--split", "{split}"]),
     ("train", ["train", "--data", "data", "--outdir", "models"]),
+    (
+        "train-sampled",
+        ["train", "--data", "data", "--outdir", "models-sampled", "--set", "silhouette_sample_max=200"],
+    ),
     # calibrate loads both models and writes them back
     ("calibrate", ["calibrate", "--data", "data", "--models", "calibrated"]),
     ("detect-global", ["detect", "--models", "models", "--input", "data/test.csv", "--out", "global.csv"]),
@@ -67,6 +75,10 @@ CHAIN = [
         ["eval", "--from-confusion", "tp=0", "fn=0", "fp=0", "tn=5", "--out", "confusion-undefined.json"],
     ),
     ("bench", ["bench", "--data", "data", "--out", "bench.json"]),
+    (
+        "bench-sampled",
+        ["bench", "--data", "data", "--out", "bench-sampled.json", "--set", "silhouette_sample_max=200"],
+    ),
     (
         "grid",
         ["grid", "--data", "data", "--out", "grid.json",

@@ -115,7 +115,9 @@ def _build_config(args) -> PipelineConfig:
     return config
 
 
-def _add_config_options(parser: argparse.ArgumentParser) -> None:
+def _add_config_options(parser: argparse.ArgumentParser, seeded: bool = False) -> None:
+    """--config and --set, and --seed on a command that draws random
+    numbers."""
     parser.add_argument("--config", help="flat key=value configuration file")
     parser.add_argument(
         "--set",
@@ -123,7 +125,8 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
         metavar="KEY=VALUE",
         help="override one configuration field (repeatable)",
     )
-    parser.add_argument("--seed", type=int, default=None, help=f"RNG seed (default {DEFAULT_SEED})")
+    if seeded:
+        parser.add_argument("--seed", type=int, default=None, help=f"RNG seed (default {DEFAULT_SEED})")
 
 
 def _read_partition(path: Path) -> list[FlowRecord]:
@@ -487,7 +490,6 @@ def _read_verdict_csv(path: Path):
 def _cmd_eval(args) -> int:
     if args.out and args.pr_curve and Path(args.out).resolve() == Path(args.pr_curve).resolve():
         raise UsageError(f"eval --out and --pr-curve name the same file: {args.out}")
-    config = _build_config(args)
     if args.from_confusion:
         text = _json_text(scenario_metrics(_parse_confusion_tokens(args.from_confusion)))
         if args.out:
@@ -500,12 +502,7 @@ def _cmd_eval(args) -> int:
         raise UsageError("eval --verdicts needs --out for the report")
 
     table, labels = _read_verdict_csv(Path(args.verdicts))
-    report = build_eval_report(
-        table,
-        labels,
-        config_snapshot=config.to_dict(),
-        thresholds={"source": "verdict csv"},
-    )
+    report = build_eval_report(table, labels, thresholds={"source": "verdict csv"})
     outputs = {Path(args.out): _json_text(report)}
     if args.pr_curve:
         scores = verdict_scores(table)
@@ -581,7 +578,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train both filters on an ingested dataset")
     p.add_argument("--data", required=True, help="directory produced by ingest")
     p.add_argument("--outdir", required=True)
-    _add_config_options(p)
+    _add_config_options(p, seeded=True)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("calibrate", help="recompute thresholds on validation data")
@@ -611,26 +608,25 @@ def build_parser() -> _Parser:
         metavar="K=V",
         help="compute metrics from tp= fn= fp= tn= counts",
     )
-    _add_config_options(p)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("bench", help="compare against one-step baselines")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    _add_config_options(p)
+    _add_config_options(p, seeded=True)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("grid", help="run the hyperparameter grid")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    _add_config_options(p)
+    _add_config_options(p, seeded=True)
     p.set_defaults(func=_cmd_grid)
 
     p = sub.add_parser("sweep", help="training-size sensitivity sweep")
     p.add_argument("--data", required=True)
     p.add_argument("--sizes", type=_sizes, required=True)
     p.add_argument("--out", required=True)
-    _add_config_options(p)
+    _add_config_options(p, seeded=True)
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -272,7 +272,6 @@ class Filter2Model(Artifact):
     per_cluster_thresholds: Optional[list[float]]
     distance_mode: DistanceMode
     feature_space: ClusteringFeatures
-    per_cluster_mean: Optional[np.ndarray] = None
     per_cluster_std: Optional[np.ndarray] = None
     pca_basis: Optional[PcaBasis] = None
     silhouette_by_k: dict[int, float] = field(default_factory=dict)
@@ -286,7 +285,6 @@ class Filter2Model(Artifact):
         "per_cluster_thresholds": optional(list_of(finite_float)),
         "distance_mode": DistanceMode,
         "feature_space": ClusteringFeatures,
-        "per_cluster_mean": optional(finite_array),
         "per_cluster_std": optional(finite_array),
         "pca_basis": optional(PcaBasis.from_dict),
         "silhouette_by_k": optional(mapping(int, finite_float), dict),
@@ -306,11 +304,10 @@ class Filter2Model(Artifact):
             raise self.invalid(
                 "per_cluster_thresholds", f"expected k_star={k_star} values, got {len(thresholds)}"
             )
-        for key in ("per_cluster_mean", "per_cluster_std"):
-            scale = getattr(self, key)
-            if scale is not None and scale.shape != shape:
-                raise self.invalid(key, f"expected the centroids' shape {shape}, got {scale.shape}")
-        if self.per_cluster_std is not None and not (self.per_cluster_std > 0.0).all():
+        stds = self.per_cluster_std
+        if stds is not None and stds.shape != shape:
+            raise self.invalid("per_cluster_std", f"expected the centroids' shape {shape}, got {stds.shape}")
+        if stds is not None and not (stds > 0.0).all():
             raise self.invalid("per_cluster_std", "every std must be positive")
         if self.feature_space is ClusteringFeatures.PCA and self.pca_basis is None:
             raise self.invalid("pca_basis", "the pca feature space needs one")
@@ -425,12 +422,10 @@ def seed_for_k(seed: int, k: int) -> int:
 
 def _attach_cluster_scales(model: Filter2Model, x: np.ndarray, assignments: np.ndarray) -> None:
     k, d = model.centroids.shape
-    means = np.zeros((k, d))
     stds = np.zeros((k, d))
     for c in range(k):
         members = x[assignments == c]
         if members.shape[0] > 0:
-            means[c] = members.mean(axis=0)
             stds[c] = members.std(axis=0)
     # Degenerate-variance guard: a zero std cannot divide; substitute the
     # smallest positive std of the same cluster, then of any cluster.
@@ -447,7 +442,6 @@ def _attach_cluster_scales(model: Filter2Model, x: np.ndarray, assignments: np.n
     if replaced:
         detail = ", ".join(f"cluster {c}: {m} dims" for c, m in replaced)
         model.notes.append(f"zero-variance guard replaced stds ({detail})")
-    model.per_cluster_mean = means
     model.per_cluster_std = stds
 
 

@@ -25,6 +25,7 @@ from .errors import DataError, FlowSieveError
 from .metrics import auprc, macro_average, present_scenarios, verdict_scores
 from .pipeline import classify_matrix, evaluate_pipeline, train_encoded, train_pipeline
 from .records import FlowRecord
+from .stats import TAG_BENCH, derive_rng
 from .workers import forked_map
 
 GRID_AXES: dict[str, tuple] = {
@@ -116,15 +117,12 @@ def sensitivity_sweep(
 # meaning (they remain novelty detectors fit on benign traffic).
 BENCH_LOF_MAX_TRAIN = 20_000
 BENCH_KMEANS_MAX_TRAIN = 50_000
-_TAG_BENCH = 0x10
 
 
 def _capped(values: np.ndarray, cap: int, seed: int, tag: int) -> tuple[np.ndarray, bool]:
     if values.shape[0] <= cap:
         return values, False
-    from .stats import derive_rng
-
-    rng = derive_rng(seed, _TAG_BENCH, tag)
+    rng = derive_rng(seed, TAG_BENCH, tag)
     return values[rng.choice(values.shape[0], size=cap, replace=False)], True
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DataError
 from .records import ATTACK_CLASSES, LabelClass
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 def _label_masks(
@@ -165,11 +165,10 @@ def present_scenarios(labels: Sequence[LabelClass]) -> list[LabelClass]:
 def build_eval_report(
     verdicts: np.recarray,
     labels: Sequence[LabelClass],
-    config_snapshot: dict,
     thresholds: dict,
 ) -> dict:
     """The report of every attack scenario present: per-scenario metrics,
-    their macro-averages and the run's configuration.
+    their macro-averages and the thresholds that made the verdicts.
 
     The report holds no timings, so reruns with the same seed serialize
     byte-identically.
@@ -191,6 +190,5 @@ def build_eval_report(
             key: macro_average([entry[key] for entry in scenarios.values()])
             for key in ("fpr", "precision", "recall", "f1", "auprc")
         },
-        "config": dict(config_snapshot),
         "thresholds": dict(thresholds),
     }

@@ -155,10 +155,4 @@ def evaluate_pipeline(
         "global_tanh_threshold": tau,
         "mode": "per_cluster" if tau is None else "global_tanh",
     }
-    report = build_eval_report(
-        verdicts,
-        labels,
-        config_snapshot=pipeline.config.to_dict(),
-        thresholds=thresholds,
-    )
-    return report, verdicts
+    return build_eval_report(verdicts, labels, thresholds), verdicts

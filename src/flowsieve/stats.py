@@ -45,6 +45,7 @@ TAG_KMEANS = 0x03
 TAG_SILHOUETTE_SAMPLE = 0x04
 TAG_SYNTH = 0x05
 TAG_FOREST = 0x06
+TAG_BENCH = 0x10
 
 
 def row_sq_norms(a: np.ndarray) -> np.ndarray:

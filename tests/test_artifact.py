@@ -81,7 +81,6 @@ def filter2_models(draw):
         per_cluster_thresholds=draw(st.none() | st.lists(FINITE, min_size=k, max_size=k)),
         distance_mode=draw(st.sampled_from(DistanceMode)),
         feature_space=feature_space,
-        per_cluster_mean=draw(st.none() | _matrices(k, d)),
         per_cluster_std=draw(st.none() | _matrices(k, d, elements=st.floats(5e-324, 1e300))),
         pca_basis=draw(pca if feature_space is ClusteringFeatures.PCA else st.none() | pca),
         silhouette_by_k=draw(st.dictionaries(st.integers(-5, 40), FINITE, max_size=3)),

@@ -41,7 +41,7 @@ def workdir(tmp_path_factory):
         == 0
     )
     assert main(["train", "--data", str(data_dir), "--outdir", str(models), "--seed", "42"]) == 0
-    assert main(["calibrate", "--data", str(data_dir), "--models", str(models), "--seed", "42"]) == 0
+    assert main(["calibrate", "--data", str(data_dir), "--models", str(models)]) == 0
     return root
 
 
@@ -101,8 +101,7 @@ def _pca_basis(**changes):
 
 def _zero_std(filter2):
     centroids = filter2["centroids"]
-    filter2.update(distance_mode="normalized_euclidean", per_cluster_mean=centroids,
-                   per_cluster_std=[[0.0] * len(row) for row in centroids])
+    filter2.update(distance_mode="normalized_euclidean", per_cluster_std=[[0.0] * len(row) for row in centroids])
 
 
 def _first_weight_nan(payloads):
@@ -237,7 +236,7 @@ class TestPipelineComposability:
         records, _ = ingest.parse_dataset(test_csv)
         table = pipeline.classify_flows(trained, records)
         labels = [record.actual_label for record in records]
-        expected = build_eval_report(table, labels, config_snapshot={}, thresholds={})
+        expected = build_eval_report(table, labels, thresholds={})
         report = json.loads(report_json.read_text())
         assert report["scenarios"] == expected["scenarios"]
         assert report["macro"] == expected["macro"]
@@ -267,6 +266,55 @@ class TestPipelineComposability:
         )
         assert out.exists()
 
+    def test_reports_hold_exactly_their_four_keys(self, workdir, tmp_path):
+        models, test_csv = workdir / "models", workdir / "data" / "test.csv"
+        verdicts_csv, report_json = tmp_path / "v.csv", tmp_path / "report.json"
+        assert main(["detect", "--models", str(models), "--input", str(test_csv), "--out", str(verdicts_csv)]) == 0
+        assert main(["eval", "--verdicts", str(verdicts_csv), "--out", str(report_json)]) == 0
+        trained = pipeline.TrainedPipeline(
+            PipelineConfig(), Filter1Model.load(models / "filter1.json"), Filter2Model.load(models / "filter2.json")
+        )
+        records, _ = ingest.parse_dataset(test_csv)
+        in_memory, _ = pipeline.evaluate_pipeline(trained, records)
+        for report in (json.loads(report_json.read_text()), in_memory):
+            assert set(report) == {"schema_version", "scenarios", "macro", "thresholds"}
+            assert report["schema_version"] == 2
+
+
+class TestNormalizedModels:
+    """filter2.json keeps the per-cluster stds, which normalized distances
+    read, and no longer writes the per-cluster means, which nothing read."""
+
+    @pytest.fixture(scope="class")
+    def normalized(self, workdir, tmp_path_factory):
+        models = tmp_path_factory.mktemp("normalized") / "models"
+        quick = ["--set", "epochs_max=3", "--set", "patience_max=3", "--set", "k_max=3"]
+        argv = ["train", "--data", str(workdir / "data"), "--outdir", str(models)]
+        assert main([*argv, "--set", "distance_mode=normalized_euclidean", *quick]) == 0
+        return models
+
+    def test_fresh_models_have_no_per_cluster_mean(self, workdir, normalized):
+        for models in (workdir / "models", normalized):
+            payload = json.loads((models / "filter2.json").read_text())
+            assert "per_cluster_mean" not in payload
+        assert payload["distance_mode"] == "normalized_euclidean"
+        assert np.array(payload["per_cluster_std"]).shape == np.array(payload["centroids"]).shape
+
+    def test_a_model_carrying_per_cluster_mean_scores_the_same(self, workdir, normalized, tmp_path):
+        carrying = tmp_path / "carrying"
+        carrying.mkdir()
+        (carrying / "filter1.json").write_bytes((normalized / "filter1.json").read_bytes())
+        payload = json.loads((normalized / "filter2.json").read_text())
+        payload["per_cluster_mean"] = payload["centroids"]
+        (carrying / "filter2.json").write_text(json.dumps(payload))
+        verdicts = {}
+        for models in (normalized, carrying):
+            out = tmp_path / f"{models.name}.csv"
+            argv = ["detect", "--models", str(models), "--input", str(workdir / "data" / "test.csv")]
+            assert main([*argv, "--out", str(out), "--mode", "per-cluster"]) == 0
+            verdicts[models.name] = out.read_bytes()
+        assert verdicts["carrying"] == verdicts["models"]
+
 
 class TestFromConfusion:
     def test_published_counts(self, workdir, capsys):
@@ -285,6 +333,47 @@ class TestFromConfusion:
 class TestErrorPaths:
     def test_unknown_flag_is_usage_error(self):
         assert main(["synth", "--nope", "x"]) == 1
+
+    @pytest.mark.parametrize(
+        "extra", [["--set", "k_max=3"], ["--config", "run.conf"], ["--seed", "7"]], ids=["set", "config", "seed"]
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--verdicts", "verdicts.csv", "--out", "report.json", "--pr-curve", "pr.csv"],
+            ["eval", "--from-confusion", "tp=5", "fn=1", "fp=2", "tn=90", "--out", "confusion.json"],
+        ],
+        ids=["verdicts", "from-confusion"],
+    )
+    def test_eval_takes_no_configuration(self, workdir, tmp_path, monkeypatch, capsys, argv, extra):
+        # eval reads only its verdicts or counts; no configuration enters its report
+        monkeypatch.chdir(tmp_path)
+        detect = ["detect", "--models", str(workdir / "models"), "--input", str(workdir / "data" / "test.csv")]
+        assert main([*detect, "--out", "verdicts.csv"]) == 0
+        (tmp_path / "run.conf").write_text("k_max=3\n")
+        capsys.readouterr()
+        before = sorted(tmp_path.iterdir())
+        assert main([*argv, *extra]) == 1
+        assert capsys.readouterr().err.startswith("error: unrecognized arguments: ")
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command", ["ingest", "calibrate", "detect"])
+    def test_seed_only_where_a_random_number_is_drawn(self, workdir, tmp_path, capsys, command):
+        models = tmp_path / "models"
+        models.mkdir()
+        for name in ("filter1.json", "filter2.json"):
+            (models / name).write_bytes((workdir / "models" / name).read_bytes())
+        before = {path: path.read_bytes() for path in models.iterdir()}
+        argv = {
+            "ingest": ["--input", str(workdir / "synthetic.csv"), "--outdir", str(tmp_path / "data")],
+            "calibrate": ["--data", str(workdir / "data"), "--models", str(models)],
+            "detect": ["--models", str(models), "--input", str(workdir / "data" / "test.csv"),
+                       "--out", str(tmp_path / "verdicts.csv")],
+        }[command]
+        assert main([command, *argv, "--seed", "42"]) == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --seed 42\n"
+        assert sorted(tmp_path.iterdir()) == [models]
+        assert {path: path.read_bytes() for path in models.iterdir()} == before
 
     @pytest.mark.parametrize(
         "argv",

@@ -257,6 +257,20 @@ class TestTrainFilter2:
         assert model.per_cluster_std is not None
         assert (model.per_cluster_std > 0).all()
 
+    def test_normalized_scales_are_the_masked_stds_of_the_kept_fit(self):
+        rng = np.random.default_rng(19)
+        x, _ = _blobs(rng, [(0.0, 0.0, 0.0), (8.0, 8.0, 0.0), (0.0, 8.0, 8.0)], per_blob=25)
+        config = PipelineConfig(
+            k_min=2, k_max=5, distance_mode=DistanceMode.NORMALIZED_EUCLIDEAN, rng_seed=3
+        )
+        model = clustering.train_filter2(x, config)
+        k = model.k_star
+        kept = clustering.kmeans_fit(x, k, clustering.seed_for_k(config.rng_seed, k))
+        stds = np.stack([x[kept.assignments == c].std(axis=0) for c in range(k)])
+        assert (stds > 0).all()  # no zero-variance guard in play
+        assert model.per_cluster_std.tobytes() == stds.tobytes()
+        assert "per_cluster_mean" not in model.to_dict()
+
 
 def masked_mean_lloyd(x: np.ndarray, centroids: np.ndarray) -> clustering.KMeansResult:
     """Lloyd's iteration with per-cluster boolean-mask means, updating until
@@ -695,7 +709,6 @@ class TestScoreAndClassify:
         )
         if stds is not None:
             model.per_cluster_std = np.asarray(stds, dtype=float)
-            model.per_cluster_mean = model.centroids.copy()
         return model
 
     def test_flow_at_centroid(self):
@@ -807,7 +820,6 @@ class TestSerialization:
             "per_cluster_thresholds": [0.4, 0.6],
             "distance_mode": "normalized_euclidean",
             "feature_space": "all",
-            "per_cluster_mean": [[0.0, 1.0], [2.0, 3.0]],
             "per_cluster_std": [[1.0, 1.0], [1.0, 1.0]],
         }
         payload.update(changes)
@@ -817,6 +829,14 @@ class TestSerialization:
         model = clustering.Filter2Model.from_dict(self._payload())
         assert model.per_cluster_std.shape == (2, 2)
 
+    @pytest.mark.parametrize("means", [[[0.0, 1.0], [2.0, 3.0]], [[0.0, 1.0]]], ids=["centroid-shape", "short"])
+    def test_per_cluster_mean_of_earlier_models_is_ignored(self, means):
+        # models written before the key was dropped carry it; nothing reads it
+        without = clustering.Filter2Model.from_dict(self._payload())
+        carrying = clustering.Filter2Model.from_dict(self._payload(per_cluster_mean=means))
+        assert carrying.to_json() == without.to_json()
+        assert "per_cluster_mean" not in carrying.to_dict()
+
     @pytest.mark.parametrize(
         "changes",
         [
@@ -825,7 +845,6 @@ class TestSerialization:
             {"centroids": [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]},
             {"per_cluster_thresholds": [0.4]},
             {"per_cluster_thresholds": 0.4},
-            {"per_cluster_mean": [[0.0, 1.0]]},
             {"per_cluster_std": [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]},
             {"per_cluster_std": [[1.0, "x"], [1.0, 1.0]]},
         ],

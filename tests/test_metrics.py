@@ -206,10 +206,9 @@ class TestEvalReport:
             tanh=[0.9, 0.85, 0.95, 0.0, 0.2],
             frequent=[False, False, False, True, False],
         )
-        payload = metrics.build_eval_report(
-            verdicts, labels, config_snapshot={"rng_seed": 1}, thresholds={"th_frequent": 0.1}
-        )
-        assert payload["schema_version"] == 1
+        payload = metrics.build_eval_report(verdicts, labels, thresholds={"th_frequent": 0.1})
+        assert payload["schema_version"] == 2
+        assert payload["thresholds"] == {"th_frequent": 0.1}
         assert set(payload["scenarios"]) == {NMAP.value, CRYPTO.value}
         assert payload["macro"]["recall"] == 1.0
         assert "runtime" not in str(payload)  # volatile data never serialized
@@ -220,8 +219,8 @@ class TestEvalReport:
         assert metrics.present_scenarios(labels) == [CRYPTO]
         assert metrics.present_scenarios([CRYPTO, NMAP]) == [NMAP, CRYPTO]
         assert metrics.present_scenarios([BENIGN]) == []
-        report = metrics.build_eval_report(verdicts, labels, config_snapshot={}, thresholds={})
-        assert set(report) == {"schema_version", "scenarios", "macro", "config", "thresholds"}
+        report = metrics.build_eval_report(verdicts, labels, thresholds={})
+        assert set(report) == {"schema_version", "scenarios", "macro", "thresholds"}
         assert list(report["scenarios"]) == [CRYPTO.value]
         entry = report["scenarios"][CRYPTO.value]
         assert entry == {**metrics.scenario_metrics(metrics.confusion(verdicts, labels, CRYPTO)), "auprc": 1.0}
