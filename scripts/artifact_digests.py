@@ -7,7 +7,7 @@ runs, in a temporary directory and with one BLAS thread,
     synth -> ingest -> ingest of the capture as a raw export
     -> train -> train with silhouette_sample_max=200
     -> calibrate (of a copy of the models)
-    -> detect (global-tanh and per-cluster)
+    -> detect (global-tanh, per-cluster and global-tanh with --tau 0.6)
     -> eval --pr-curve of each -> eval --from-confusion (with a 0/0 case)
     -> bench -> bench with silhouette_sample_max=200
     -> grid (epochs_max=2 patience_max=2 k_max=3) -> sweep --sizes 200,600
@@ -61,11 +61,16 @@ CHAIN = [
         ["detect", "--models", "models", "--input", "data/test.csv", "--out", "cluster.csv",
          "--mode", "per-cluster"],
     ),
+    (
+        "detect-tau",
+        ["detect", "--models", "models", "--input", "data/test.csv", "--out", "tau.csv", "--tau", "0.6"],
+    ),
     ("eval-global", ["eval", "--verdicts", "global.csv", "--out", "global.json", "--pr-curve", "global-pr.csv"]),
     (
         "eval-per-cluster",
         ["eval", "--verdicts", "cluster.csv", "--out", "cluster.json", "--pr-curve", "cluster-pr.csv"],
     ),
+    ("eval-tau", ["eval", "--verdicts", "tau.csv", "--out", "tau.json", "--pr-curve", "tau-pr.csv"]),
     (
         "confusion",
         ["eval", "--from-confusion", "tp=3032", "fn=48", "fp=315", "tn=22157", "--out", "confusion.json"],

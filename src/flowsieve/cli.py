@@ -43,8 +43,6 @@ from .metrics import (
 from .records import LAB_NETWORK_ID, FinalLabel, FlowRecord, LabelClass, verdict_table
 from .synth import SynthConfig, generate
 
-DEFAULT_SEED = 42
-
 TRAINING_CSV = "training.csv"
 VALIDATION_CSV = "validation.csv"
 TEST_CSV = "test.csv"
@@ -126,7 +124,8 @@ def _add_config_options(parser: argparse.ArgumentParser, seeded: bool = False) -
         help="override one configuration field (repeatable)",
     )
     if seeded:
-        parser.add_argument("--seed", type=int, default=None, help=f"RNG seed (default {DEFAULT_SEED})")
+        seed_help = f"RNG seed (default {PipelineConfig.rng_seed})"
+        parser.add_argument("--seed", type=int, default=None, help=seed_help)
 
 
 def _read_partition(path: Path) -> list[FlowRecord]:
@@ -190,12 +189,7 @@ def _sizes(text: str) -> list[int]:
 
 
 def _cmd_synth(args) -> int:
-    config = SynthConfig(
-        n_homes=args.homes,
-        days=sum(args.split),
-        split_days=args.split,
-        seed=args.seed if args.seed is not None else DEFAULT_SEED,
-    )
+    config = SynthConfig(n_homes=args.homes, days=sum(args.split), split_days=args.split, seed=args.seed)
     flows = generate(config)
     _write_outputs({Path(args.out): _dataset_text(flows)})
     print(f"wrote {len(flows)} synthetic flows to {args.out}")
@@ -317,16 +311,6 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _detect_config(args, config: PipelineConfig) -> PipelineConfig:
-    """The verdict rule of --mode: per-cluster thresholds, or tanh against
-    --tau, else the configured threshold, else the field's default."""
-    if args.mode == "per-cluster":
-        return config.replace(global_tanh_threshold=None)
-    default = PipelineConfig.global_tanh_threshold
-    tau = args.tau if args.tau is not None else (config.global_tanh_threshold or default)
-    return config.replace(global_tanh_threshold=tau)
-
-
 VERDICT_HEADER = [
     "flow_index",
     "device_id",
@@ -342,7 +326,8 @@ VERDICT_HEADER = [
 
 
 def _cmd_detect(args) -> int:
-    config = _detect_config(args, _build_config(args))
+    # the models carry everything else; --mode and --tau pick the verdict rule
+    config = PipelineConfig(global_tanh_threshold=None if args.mode == "per-cluster" else args.tau)
     trained = _load_pipeline(Path(args.models), config)
     records = _read_partition(Path(args.input))
     if not records:
@@ -420,6 +405,12 @@ def _not_nan_float(text: str) -> float:
     return value
 
 
+def _true_or_false(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(text)
+    return text == "true"
+
+
 def _memoized(parse):
     """`parse` with a memo of the cells it parsed; a cell that fails is
     not remembered, so it fails again wherever it occurs."""
@@ -436,9 +427,9 @@ def _memoized(parse):
 
 def _read_verdict_csv(path: Path):
     """The verdict table and actual labels of a file detect wrote; a
-    missing column or a cell that does not parse is a data error naming
-    its line and column, and so is a file that is not UTF-8. Cluster
-    cells of frequent rows are not read."""
+    missing column, a cell that does not parse or a frequent row labeled
+    malicious is a data error naming its line and column, and so is a file
+    that is not UTF-8. Cluster cells of frequent rows are not read."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as stream:
             reader = csv.reader(stream)
@@ -474,7 +465,15 @@ def _read_verdict_csv(path: Path):
 
     labels = column("actual_label", _memoized(LabelClass.parse))
     mse = column("mse", _non_negative_float)
-    frequent = np.array([row[position["frequent"]] == "true" for row in rows], dtype=bool)
+    frequent = np.array(column("frequent", _true_or_false), dtype=bool)
+    malicious = np.array(
+        [label is FinalLabel.MALICIOUS for label in column("final_label", _memoized(FinalLabel))], dtype=bool
+    )
+    flagged = np.flatnonzero(frequent & malicious)
+    if flagged.size:
+        raise DataError(
+            f"verdict file {path} line {lines[flagged[0]]}: final_label 'malicious' on a frequent row"
+        )
     infrequent = np.flatnonzero(~frequent)
     table = verdict_table(
         mse,
@@ -482,7 +481,7 @@ def _read_verdict_csv(path: Path):
         cluster_column("assigned_cluster", _cluster_index, -1),
         cluster_column("distance", _not_nan_float, np.nan),
         cluster_column("tanh_score", _not_nan_float, np.nan),
-        ~frequent & np.array([row[position["final_label"]] != "benign" for row in rows], dtype=bool),
+        malicious,
     )
     return table, labels
 
@@ -562,9 +561,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a labeled synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--homes", type=int, default=5)
-    p.add_argument("--split", type=_split_days, default="4,1,2", help="training,validation,test days")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--homes", type=int, default=SynthConfig.n_homes)
+    p.add_argument(
+        "--split", type=_split_days, default=SynthConfig.split_days, help="training,validation,test days"
+    )
+    p.add_argument("--seed", type=int, default=SynthConfig.seed)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("ingest", help="parse, cleanse and partition a dataset CSV")
@@ -593,9 +594,11 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=["global-tanh", "per-cluster"], default="global-tanh")
     p.add_argument(
-        "--tau", type=float, default=None, help="global tanh threshold in (0, 1); per-cluster mode ignores it"
+        "--tau",
+        type=float,
+        default=PipelineConfig.global_tanh_threshold,
+        help="global tanh threshold in (0, 1) (default %(default)s); per-cluster mode ignores it",
     )
-    _add_config_options(p)
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("eval", help="evaluate verdicts or raw confusion counts")

@@ -112,9 +112,11 @@ def sensitivity_sweep(
     return points
 
 
-# Training-row caps for the quadratic-cost baselines; seeded subsamples
-# keep six-figure benchmark runs tractable without touching the scores'
-# meaning (they remain novelty detectors fit on benign traffic).
+# Training-row caps for the one-step baselines: LOF's cost is quadratic in
+# its rows, and the k-means cap bounds Lloyd's linear cost (its silhouette
+# is sampled already). Seeded subsamples keep six-figure benchmark runs
+# tractable without touching the scores' meaning (they remain novelty
+# detectors fit on benign traffic).
 BENCH_LOF_MAX_TRAIN = 20_000
 BENCH_KMEANS_MAX_TRAIN = 50_000
 

@@ -335,25 +335,30 @@ class TestErrorPaths:
         assert main(["synth", "--nope", "x"]) == 1
 
     @pytest.mark.parametrize(
-        "extra", [["--set", "k_max=3"], ["--config", "run.conf"], ["--seed", "7"]], ids=["set", "config", "seed"]
+        "extra",
+        [["--set", "global_tanh_threshold=0.5"], ["--config", "run.conf"], ["--seed", "7"]],
+        ids=["set", "config", "seed"],
     )
     @pytest.mark.parametrize(
         "argv",
         [
             ["eval", "--verdicts", "verdicts.csv", "--out", "report.json", "--pr-curve", "pr.csv"],
             ["eval", "--from-confusion", "tp=5", "fn=1", "fp=2", "tn=90", "--out", "confusion.json"],
+            ["detect", "--models", "{models}", "--input", "{test}", "--out", "detected.csv"],
         ],
-        ids=["verdicts", "from-confusion"],
+        ids=["verdicts", "from-confusion", "detect"],
     )
-    def test_eval_takes_no_configuration(self, workdir, tmp_path, monkeypatch, capsys, argv, extra):
-        # eval reads only its verdicts or counts; no configuration enters its report
+    def test_eval_and_detect_take_no_configuration(self, workdir, tmp_path, monkeypatch, capsys, argv, extra):
+        # eval reads only its verdicts or counts, and detect its models,
+        # --mode and --tau; no configuration enters what they write
         monkeypatch.chdir(tmp_path)
-        detect = ["detect", "--models", str(workdir / "models"), "--input", str(workdir / "data" / "test.csv")]
+        paths = {"models": workdir / "models", "test": workdir / "data" / "test.csv"}
+        detect = ["detect", "--models", str(paths["models"]), "--input", str(paths["test"])]
         assert main([*detect, "--out", "verdicts.csv"]) == 0
-        (tmp_path / "run.conf").write_text("k_max=3\n")
+        (tmp_path / "run.conf").write_text("global_tanh_threshold=0.5\n")
         capsys.readouterr()
         before = sorted(tmp_path.iterdir())
-        assert main([*argv, *extra]) == 1
+        assert main([*(arg.format(**paths) for arg in argv), *extra]) == 1
         assert capsys.readouterr().err.startswith("error: unrecognized arguments: ")
         assert sorted(tmp_path.iterdir()) == before
 
@@ -601,6 +606,18 @@ class TestErrorPaths:
         assert self._detect_with_edited_filter1(workdir, tmp_path, drop_entry) == 2
         assert "biases[2] must have shape" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, error",
+        [
+            ("recipe", "frequency-filter artifact lacks its encoding recipe"),
+            ("th_frequent", "frequency filter is not calibrated (missing threshold)"),
+        ],
+    )
+    def test_detect_refuses_a_filter1_without_recipe_or_threshold(self, workdir, tmp_path, capsys, key, error):
+        assert self._detect_with_edited_filter1(workdir, tmp_path, lambda p: p.update({key: None})) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (tmp_path / "verdicts.csv").exists()
+
     def test_filter1_recipe_dimension_is_checked(self, workdir, tmp_path, capsys):
         def drop_vocabulary_value(payload):
             # the recipe agrees with itself but encodes one column fewer
@@ -676,18 +693,11 @@ class TestErrorPaths:
         assert self._detect(workdir, with_tau, "--mode", "per-cluster", "--tau", "1.5") == 0
         assert plain.read_bytes() == with_tau.read_bytes()
 
-    def test_no_configured_threshold_falls_back_to_the_field_default(self, workdir, tmp_path):
-        by_default, unset = tmp_path / "default.csv", tmp_path / "unset.csv"
-        default = PipelineConfig().global_tanh_threshold
-        assert self._detect(workdir, by_default, "--tau", str(default)) == 0
-        assert self._detect(workdir, unset, "--set", "global_tanh_threshold=none") == 0
-        assert unset.read_bytes() == by_default.read_bytes()
-
-    def test_tau_and_configured_threshold_agree(self, workdir, tmp_path):
-        by_flag, by_config = tmp_path / "flag.csv", tmp_path / "config.csv"
-        assert self._detect(workdir, by_flag, "--tau", "0.5") == 0
-        assert self._detect(workdir, by_config, "--set", "global_tanh_threshold=0.5") == 0
-        assert by_flag.read_bytes() == by_config.read_bytes()
+    def test_tau_defaults_to_the_field_default(self, workdir, tmp_path):
+        by_default, by_flag = tmp_path / "default.csv", tmp_path / "flag.csv"
+        assert self._detect(workdir, by_default) == 0
+        assert self._detect(workdir, by_flag, "--tau", str(PipelineConfig().global_tanh_threshold)) == 0
+        assert by_default.read_bytes() == by_flag.read_bytes()
 
     def test_detect_refuses_non_finite_encoded_values(self, workdir, tmp_path, capsys):
         # a negative octet count has no log1p; ingest drops such rows
@@ -773,6 +783,9 @@ class TestErrorPaths:
             ("actual_label", "unknown_label"),
             ("mse", "negative_mse"),
             ("mse", "missing_mse"),
+            ("frequent", "not_true_or_false"),
+            ("final_label", "misspelled_benign"),
+            ("final_label", "malicious_frequent_row"),
         ],
     )
     def test_malformed_verdict_file_is_data_error(self, workdir, tmp_path, capsys, column, edit):
@@ -792,9 +805,19 @@ class TestErrorPaths:
                 "nan_distance": "nan",
                 "unknown_label": "bogus",
                 "negative_mse": "-1",
+                "not_true_or_false": "nope",
+                "misspelled_benign": "benin",
+                "malicious_frequent_row": "malicious",
             }
+            frequent, label = header.index("frequent"), header.index("final_label")
             if edit in ("blank_cluster", "negative_cluster", "nan_distance"):
-                index = next(i for i, row in enumerate(rows) if row[header.index("frequent")] == "false")
+                index = next(i for i, row in enumerate(rows) if row[frequent] == "false")
+            elif edit == "misspelled_benign":
+                index = next(
+                    i for i, row in enumerate(rows) if row[frequent] == "false" and row[label] == "benign"
+                )
+            elif edit == "malicious_frequent_row":
+                index = next(i for i, row in enumerate(rows) if row[frequent] == "true")
             else:
                 index = 3
             rows[index][at] = cells[edit]
