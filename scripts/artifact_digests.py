@@ -6,7 +6,9 @@ runs, in a temporary directory and with one BLAS thread,
 
     synth -> ingest -> ingest of the capture as a raw export
     -> train -> train with silhouette_sample_max=200
-    -> calibrate (of a copy of the models)
+    -> train with silhouette_sample_max=2
+    -> train with pctl_frequent=70 pctl_known=90
+    -> calibrate (of a copy of the models, and of the pctl models)
     -> detect (global-tanh, per-cluster and global-tanh with --tau 0.6)
     -> eval --pr-curve of each -> eval --from-confusion (with a 0/0 case)
     -> bench -> bench with silhouette_sample_max=200
@@ -20,9 +22,13 @@ partition tags), so its ingest into data-raw/ copies every record it
 keeps. A fit on more infrequent rows than `silhouette_sample_max` scores
 its silhouettes on a seeded sample; no sweep of a synthetic capture of a
 few days has that many, so the two steps with a cap of 200 take that
-path. Two checkouts that write the same bytes print the same lines,
-so `diff` of two outputs checks a change against its parent, or a rerun
-against itself.
+path. A sample of 2 rows holds one cluster at some k, and is extended by
+the rows of the clusters it missed, so the step with a cap of 2 takes
+that path too. `calibrate` recomputes the thresholds at the percentiles
+the models record, so each calibrated copy is digested as the models it
+was copied from. Two checkouts that write the same bytes print the same
+lines, so `diff` of two outputs checks a change against its parent, or
+a rerun against itself.
 
 Each step runs in a session of its own. When a process of that session
 is still running a second after the step exited, such as a forked worker
@@ -53,8 +59,18 @@ CHAIN = [
         "train-sampled",
         ["train", "--data", "data", "--outdir", "models-sampled", "--set", "silhouette_sample_max=200"],
     ),
-    # calibrate loads both models and writes them back
+    (
+        "train-extended",
+        ["train", "--data", "data", "--outdir", "models-extended", "--set", "silhouette_sample_max=2"],
+    ),
+    (
+        "train-pctl",
+        ["train", "--data", "data", "--outdir", "models-pctl",
+         "--set", "pctl_frequent=70", "--set", "pctl_known=90"],
+    ),
+    # calibrate loads both models of a copy (see CALIBRATED) and writes them back
     ("calibrate", ["calibrate", "--data", "data", "--models", "calibrated"]),
+    ("calibrate-pctl", ["calibrate", "--data", "data", "--models", "calibrated-pctl"]),
     ("detect-global", ["detect", "--models", "models", "--input", "data/test.csv", "--out", "global.csv"]),
     (
         "detect-per-cluster",
@@ -93,6 +109,9 @@ CHAIN = [
 ]
 
 
+# The models directory each calibrate step copies before it rewrites the copy.
+CALIBRATED = {"calibrate": ("models", "calibrated"), "calibrate-pctl": ("models-pctl", "calibrated-pctl")}
+
 # Columns a raw export leaves blank: ingest computes them.
 RAW_BLANK_COLUMNS = (
     "inter_arrival_time_milliseconds",
@@ -120,8 +139,9 @@ def run_chain(src: Path, seed: int, split: str, workdir: Path) -> None:
     (workdir / "stdout").mkdir()
     for step, argv in CHAIN:
         argv = [arg.format(seed=seed, split=split) for arg in argv]
-        if step == "calibrate":  # it rewrites its models in place
-            shutil.copytree(workdir / "models", workdir / "calibrated")
+        if step in CALIBRATED:  # it rewrites its models in place
+            source, copy = CALIBRATED[step]
+            shutil.copytree(workdir / source, workdir / copy)
         elif step == "ingest-raw":
             write_raw_export(workdir / "capture.csv", workdir / "raw.csv")
         run_step(step, [sys.executable, "-m", "flowsieve.cli", *argv], workdir, env)

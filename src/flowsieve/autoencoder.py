@@ -46,7 +46,8 @@ def layer_dimensions(input_dim: int) -> list[int]:
 @dataclass
 class Filter1Model(Artifact):
     """Trained frequency filter: weights, the recipe that encodes its input,
-    threshold and training history."""
+    threshold with the percentile it was calibrated at, and training
+    history."""
 
     layer_dims: list[int]
     weights: list[np.ndarray]  # weights[l] has shape (fan_in, fan_out)
@@ -54,6 +55,7 @@ class Filter1Model(Artifact):
     seed: int
     recipe: Optional[EncodingRecipe] = None
     th_frequent: Optional[float] = None
+    pctl_frequent: Optional[float] = None
     training_history: list[float] = field(default_factory=list)
 
     ARTIFACT = "frequency-filter"
@@ -65,6 +67,7 @@ class Filter1Model(Artifact):
         "seed": integer,
         "recipe": optional(EncodingRecipe.from_dict),
         "th_frequent": optional(finite_float),
+        "pctl_frequent": optional(finite_float),
         "training_history": optional(list_of(finite_float), list),
     }
 
@@ -87,6 +90,8 @@ class Filter1Model(Artifact):
             raise self.invalid(
                 "recipe", f"it encodes {self.recipe.dimension} columns but layer_dims[0] is {dims[0]}"
             )
+        if self.pctl_frequent is not None and not 0 < self.pctl_frequent < 100:
+            raise self.invalid("pctl_frequent", f"it must lie in (0, 100), got {self.pctl_frequent}")
 
 
 _BIAS_INIT = 0.01  # small positive: keeps ReLU paths alive and off the kink

@@ -97,25 +97,22 @@ def _json_text(payload) -> str:
 
 
 def _build_config(args) -> PipelineConfig:
-    config = PipelineConfig()
-    if getattr(args, "config", None):
-        config = load_config_file(args.config)
+    config = load_config_file(args.config) if args.config else PipelineConfig()
     updates = {}
-    for item in getattr(args, "set", None) or []:
+    for item in args.set or []:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
         updates[key.strip()] = value.strip()
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         updates["rng_seed"] = args.seed
     if updates:
         config = config.with_updates(updates)
     return config
 
 
-def _add_config_options(parser: argparse.ArgumentParser, seeded: bool = False) -> None:
-    """--config and --set, and --seed on a command that draws random
-    numbers."""
+def _add_config_options(parser: argparse.ArgumentParser) -> None:
+    """--config, --set and --seed, of the commands that train."""
     parser.add_argument("--config", help="flat key=value configuration file")
     parser.add_argument(
         "--set",
@@ -123,9 +120,8 @@ def _add_config_options(parser: argparse.ArgumentParser, seeded: bool = False) -
         metavar="KEY=VALUE",
         help="override one configuration field (repeatable)",
     )
-    if seeded:
-        seed_help = f"RNG seed (default {PipelineConfig.rng_seed})"
-        parser.add_argument("--seed", type=int, default=None, help=seed_help)
+    seed_help = f"RNG seed (default {PipelineConfig.rng_seed})"
+    parser.add_argument("--seed", type=int, default=None, help=seed_help)
 
 
 def _read_partition(path: Path) -> list[FlowRecord]:
@@ -197,7 +193,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    config = _build_config(args)
+    if args.min_port_count < 0:
+        raise UsageError(f"--min-port-count must be non-negative, got {args.min_port_count}")
     records, parse_report = ingest.parse_dataset(Path(args.input))
     if not records:
         raise DataError("no parseable rows in input")
@@ -226,9 +223,7 @@ def _cmd_ingest(args) -> int:
     partitions = ingest.partition_chronologically(
         cleansed, split_days=args.split, lab_network_id=args.lab_network
     )
-    training, sanitized_count = ingest.sanitize_training(
-        partitions.training, config.sanitize_min_port_count
-    )
+    training, sanitized_count = ingest.sanitize_training(partitions.training, args.min_port_count)
 
     report = {
         "schema_version": 1,
@@ -236,7 +231,7 @@ def _cmd_ingest(args) -> int:
         "rows_dropped_by_reason": dict(cleanse_report.dropped_by_reason + partitions.dropped_by_reason),
         "pool_zero_filled": cleanse_report.pool_zero_filled,
         "sanitized_count": sanitized_count,
-        "sanitize_min_port_count": config.sanitize_min_port_count,
+        "sanitize_min_port_count": args.min_port_count,
         "partition_rows": {
             "training": len(training),
             "validation": len(partitions.validation),
@@ -298,11 +293,18 @@ def _load_pipeline(models_dir: Path, config: PipelineConfig) -> pipeline.Trained
 
 
 def _cmd_calibrate(args) -> int:
-    config = _build_config(args)
-    trained = _load_pipeline(Path(args.models), config)
+    models = Path(args.models)
+    trained = _load_pipeline(models, PipelineConfig())
+    # the thresholds are recomputed at the percentiles the models were trained with
+    for name, model, key in (
+        (FILTER1_FILE, trained.filter1, "pctl_frequent"),
+        (FILTER2_FILE, trained.filter2, "pctl_known"),
+    ):
+        if getattr(model, key) is None:
+            raise SchemaError(f"{models / name} records no {key} to recalibrate at; train it again")
     validation = _read_partition(Path(args.data) / VALIDATION_CSV)
     recalibrated = pipeline.recalibrate(trained, validation)
-    _write_models(Path(args.models), recalibrated)
+    _write_models(models, recalibrated)
     thresholds = recalibrated.filter2.per_cluster_thresholds or []
     print(
         f"calibrated: th_frequent={recalibrated.th_frequent:.6g}, "
@@ -573,19 +575,23 @@ def build_parser() -> _Parser:
     p.add_argument("--outdir", required=True)
     p.add_argument("--split", type=_split_days, default="13,3,5")
     p.add_argument("--lab-network", type=int, default=LAB_NETWORK_ID)
-    _add_config_options(p)
+    p.add_argument(
+        "--min-port-count",
+        type=int,
+        default=ingest.SANITIZE_MIN_PORT_COUNT,
+        help="drop training flows whose destination port occurs fewer times (default %(default)s)",
+    )
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("train", help="train both filters on an ingested dataset")
     p.add_argument("--data", required=True, help="directory produced by ingest")
     p.add_argument("--outdir", required=True)
-    _add_config_options(p, seeded=True)
+    _add_config_options(p)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("calibrate", help="recompute thresholds on validation data")
     p.add_argument("--data", required=True)
     p.add_argument("--models", required=True)
-    _add_config_options(p)
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("detect", help="classify flows with trained models")
@@ -616,20 +622,20 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bench", help="compare against one-step baselines")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    _add_config_options(p, seeded=True)
+    _add_config_options(p)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("grid", help="run the hyperparameter grid")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    _add_config_options(p, seeded=True)
+    _add_config_options(p)
     p.set_defaults(func=_cmd_grid)
 
     p = sub.add_parser("sweep", help="training-size sensitivity sweep")
     p.add_argument("--data", required=True)
     p.add_argument("--sizes", type=_sizes, required=True)
     p.add_argument("--out", required=True)
-    _add_config_options(p, seeded=True)
+    _add_config_options(p)
     p.set_defaults(func=_cmd_sweep)
 
     return parser

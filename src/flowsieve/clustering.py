@@ -265,11 +265,14 @@ class _SilhouetteTally:
 
 @dataclass
 class Filter2Model(Artifact):
-    """Known-behavior filter: centroids, thresholds and the feature space."""
+    """Known-behavior filter: centroids, thresholds with the percentile
+    they were calibrated at, and the feature space."""
 
     k_star: int
     centroids: np.ndarray
     per_cluster_thresholds: Optional[list[float]]
+    # keyword-only, so that it can sit beside the thresholds it calibrates
+    pctl_known: Optional[float] = field(default=None, kw_only=True)
     distance_mode: DistanceMode
     feature_space: ClusteringFeatures
     per_cluster_std: Optional[np.ndarray] = None
@@ -283,6 +286,7 @@ class Filter2Model(Artifact):
         "k_star": integer,
         "centroids": finite_array,
         "per_cluster_thresholds": optional(list_of(finite_float)),
+        "pctl_known": optional(finite_float),
         "distance_mode": DistanceMode,
         "feature_space": ClusteringFeatures,
         "per_cluster_std": optional(finite_array),
@@ -304,7 +308,11 @@ class Filter2Model(Artifact):
             raise self.invalid(
                 "per_cluster_thresholds", f"expected k_star={k_star} values, got {len(thresholds)}"
             )
+        if self.pctl_known is not None and not 0 < self.pctl_known <= 100:
+            raise self.invalid("pctl_known", f"it must lie in (0, 100], got {self.pctl_known}")
         stds = self.per_cluster_std
+        if stds is None and self.distance_mode is DistanceMode.NORMALIZED_EUCLIDEAN:
+            raise self.invalid("per_cluster_std", "the normalized_euclidean distance mode needs one")
         if stds is not None and stds.shape != shape:
             raise self.invalid("per_cluster_std", f"expected the centroids' shape {shape}, got {stds.shape}")
         if stds is not None and not (stds > 0.0).all():

@@ -1,4 +1,5 @@
-"""Pipeline configuration: every tunable knob in one immutable dataclass.
+"""Pipeline configuration: every knob of training and classification in
+one immutable dataclass (ingest's port-count floor is its own option).
 
 Defaults follow the best-performing configuration of the hyperparameter
 grid (drop destination IPs, log-transform numerics, 60th-percentile
@@ -64,7 +65,6 @@ class PipelineConfig:
     clustering_features: ClusteringFeatures = ClusteringFeatures.ALL
     distance_mode: DistanceMode = DistanceMode.RAW_EUCLIDEAN
     global_tanh_threshold: Optional[float] = 0.75
-    sanitize_min_port_count: int = 10
     rng_seed: int = 42
     # Cap on the number of rows used when scoring a clustering by mean
     # silhouette; keeps k selection tractable on six-figure datasets.
@@ -85,8 +85,6 @@ class PipelineConfig:
             raise ConfigError("k_min must not exceed k_max")
         if self.global_tanh_threshold is not None and not 0 < self.global_tanh_threshold < 1:
             raise ConfigError("global_tanh_threshold must lie in (0, 1)")
-        if self.sanitize_min_port_count < 0:
-            raise ConfigError("sanitize_min_port_count must be non-negative")
         if self.silhouette_sample_max < 2:
             raise ConfigError("silhouette_sample_max must be at least 2")
 

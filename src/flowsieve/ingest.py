@@ -464,6 +464,10 @@ def preprocess(flows: list[FlowRecord]) -> tuple[list[FlowRecord], CleanseReport
     return kept, report
 
 
+# The default of `ingest --min-port-count`.
+SANITIZE_MIN_PORT_COUNT = 10
+
+
 def sanitize_training(
     flows: list[FlowRecord], min_port_count: int
 ) -> tuple[list[FlowRecord], int]:

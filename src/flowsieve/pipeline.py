@@ -51,16 +51,14 @@ def _infrequent_rows(filter1: autoencoder.Filter1Model, x: np.ndarray) -> np.nda
 
 
 def _calibrate_filter2(
-    filter1: autoencoder.Filter1Model,
-    filter2: Filter2Model,
-    val_matrix: np.ndarray,
-    pctl_known: float,
+    filter1: autoencoder.Filter1Model, filter2: Filter2Model, val_matrix: np.ndarray
 ) -> Filter2Model:
-    """Set the per-cluster thresholds on the infrequent validation rows."""
+    """Set the per-cluster thresholds on the infrequent validation rows,
+    at the percentile filter2 records."""
     val_proj = encode.project_features(
         _infrequent_rows(filter1, val_matrix), filter2.feature_space, filter1, filter2.pca_basis
     )
-    thresholds = clustering.set_cluster_thresholds(filter2, val_proj, pctl_known)
+    thresholds = clustering.set_cluster_thresholds(filter2, val_proj, filter2.pctl_known)
     return replace(filter2, per_cluster_thresholds=thresholds)
 
 
@@ -89,7 +87,7 @@ def train_encoded(
 
     filter1 = autoencoder.train_filter1(train_matrix, val_matrix, config)
     th_frequent = autoencoder.set_frequency_threshold(filter1, val_matrix, config.pctl_frequent)
-    filter1 = replace(filter1, recipe=recipe, th_frequent=th_frequent)
+    filter1 = replace(filter1, recipe=recipe, th_frequent=th_frequent, pctl_frequent=config.pctl_frequent)
 
     infrequent_train = _infrequent_rows(filter1, train_matrix)
     if len(infrequent_train) == 0:
@@ -99,20 +97,21 @@ def train_encoded(
     train_proj = encode.project_features(infrequent_train, features, filter1, pca_basis)
     filter2 = clustering.train_filter2(train_proj, config)
     filter2.pca_basis = pca_basis
-    filter2 = _calibrate_filter2(filter1, filter2, val_matrix, config.pctl_known)
+    filter2.pctl_known = config.pctl_known
+    filter2 = _calibrate_filter2(filter1, filter2, val_matrix)
     return TrainedPipeline(config=config, filter1=filter1, filter2=filter2)
 
 
 def recalibrate(pipeline: TrainedPipeline, validation_flows: Sequence[FlowRecord]) -> TrainedPipeline:
-    """Recompute both thresholds on (new) validation flows."""
-    config = pipeline.config
+    """Recompute both thresholds on (new) validation flows, each at the
+    percentile its model records; neither may be None, as in a model file
+    written before the models recorded them."""
+    filter1 = pipeline.filter1
     val_matrix = encode.apply_recipe(list(validation_flows), pipeline.recipe).values
-    th_frequent = autoencoder.set_frequency_threshold(
-        pipeline.filter1, val_matrix, config.pctl_frequent
-    )
-    filter1 = replace(pipeline.filter1, th_frequent=th_frequent)
-    filter2 = _calibrate_filter2(filter1, pipeline.filter2, val_matrix, config.pctl_known)
-    return TrainedPipeline(config, filter1, filter2)
+    th_frequent = autoencoder.set_frequency_threshold(filter1, val_matrix, filter1.pctl_frequent)
+    filter1 = replace(filter1, th_frequent=th_frequent)
+    filter2 = _calibrate_filter2(filter1, pipeline.filter2, val_matrix)
+    return TrainedPipeline(pipeline.config, filter1, filter2)
 
 
 def classify_matrix(pipeline: TrainedPipeline, x: np.ndarray) -> np.recarray:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from flowsieve import ingest
-from flowsieve.config import PipelineConfig
 from flowsieve.records import FlowRecord, LabelClass, PartitionTag
 from flowsieve.stats import row_sq_norms
 from flowsieve.synth import SynthConfig, generate
@@ -65,5 +64,5 @@ def synth_partitions(synth_flows, synth_config):
         split_days=synth_config.split_days,
         lab_network_id=synth_config.lab_network_id,
     )
-    training, _ = ingest.sanitize_training(parts.training, PipelineConfig().sanitize_min_port_count)
+    training, _ = ingest.sanitize_training(parts.training, ingest.SANITIZE_MIN_PORT_COUNT)
     return training, parts.validation, parts.test

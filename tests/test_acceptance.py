@@ -79,7 +79,7 @@ def test_criterion_05_synthetic_end_to_end():
         lab_network_id=synth_config.lab_network_id,
     )
     config = PipelineConfig()
-    training, _ = ingest.sanitize_training(parts.training, config.sanitize_min_port_count)
+    training, _ = ingest.sanitize_training(parts.training, ingest.SANITIZE_MIN_PORT_COUNT)
     trained = pipeline.train_pipeline(training, parts.validation, config)
     report, _ = pipeline.evaluate_pipeline(trained, parts.test)
     elapsed = time.perf_counter() - started
@@ -213,8 +213,7 @@ def _load_real_partitions():
         cleansed, _ = ingest.preprocess(records)
         parts = ingest.partition_chronologically(cleansed)
         training, validation, test = parts.training, parts.validation, parts.test
-    config = PipelineConfig()
-    training, _ = ingest.sanitize_training(training, config.sanitize_min_port_count)
+    training, _ = ingest.sanitize_training(training, ingest.SANITIZE_MIN_PORT_COUNT)
     return training, validation, test
 
 

@@ -66,6 +66,7 @@ def filter1_models(draw):
     model = build_ae(input_dim, seed=draw(st.integers(0, 2**32)))
     model.recipe = recipe
     model.th_frequent = draw(st.none() | FINITE)
+    model.pctl_frequent = draw(st.none() | st.floats(0.0, 100.0, exclude_min=True, exclude_max=True))
     model.training_history = draw(st.lists(FINITE, max_size=3))
     return model
 
@@ -74,14 +75,17 @@ def filter1_models(draw):
 def filter2_models(draw):
     k, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     feature_space = draw(st.sampled_from(ClusteringFeatures))
+    distance_mode = draw(st.sampled_from(DistanceMode))
     pca = pca_bases()
+    stds = _matrices(k, d, elements=st.floats(5e-324, 1e300))
     return Filter2Model(
         k_star=k,
         centroids=draw(_matrices(k, d)),
         per_cluster_thresholds=draw(st.none() | st.lists(FINITE, min_size=k, max_size=k)),
-        distance_mode=draw(st.sampled_from(DistanceMode)),
+        pctl_known=draw(st.none() | st.floats(0.0, 100.0, exclude_min=True)),
+        distance_mode=distance_mode,
         feature_space=feature_space,
-        per_cluster_std=draw(st.none() | _matrices(k, d, elements=st.floats(5e-324, 1e300))),
+        per_cluster_std=draw(stds if distance_mode is DistanceMode.NORMALIZED_EUCLIDEAN else st.none() | stds),
         pca_basis=draw(pca if feature_space is ClusteringFeatures.PCA else st.none() | pca),
         silhouette_by_k=draw(st.dictionaries(st.integers(-5, 40), FINITE, max_size=3)),
         notes=draw(st.lists(st.text(max_size=8), max_size=2)),

@@ -12,7 +12,8 @@
 - `ingest` of its own three partitions writes `validation.csv` and
   `test.csv` again byte for byte, while `training.csv` loses the rows in
   the warm-up window of the shorter capture, and then the rows whose
-  destination port that loss leaves below the sanitization count.
+  destination port that loss leaves below `--min-port-count`, and the
+  cleansing report records that floor.
 
 Each capture and each training runs once per module; hypothesis draws the
 capture seeds from a small pool so that its examples share them.
@@ -20,6 +21,7 @@ capture seeds from a small pool so that its examples share them.
 import csv
 import dataclasses
 import functools
+import json
 import shutil
 from collections import Counter
 
@@ -39,7 +41,6 @@ SEEDS = (42, 7, 1009)
 RECIPES = ("drop", "prefix_one_hot")
 PARTITIONS = ("training.csv", "validation.csv", "test.csv")
 WARMUP_HOURS = 2
-MIN_PORT_COUNT = PipelineConfig().sanitize_min_port_count
 
 
 @pytest.fixture(scope="module")
@@ -62,10 +63,11 @@ def _chain_root(root, seed):
 
 
 @functools.cache
-def _models(root, seed, recipe):
+def _models(root, seed, recipe, *overrides):
     work = _chain_root(root, seed)
-    models = work / f"models-{recipe}"
-    _run(["train", "--data", work / "data", "--outdir", models, "--set", f"ip_treatment={recipe}"])
+    models = work / "-".join(["models", recipe, *overrides])
+    sets = [arg for override in overrides for arg in ("--set", override)]
+    _run(["train", "--data", work / "data", "--outdir", models, "--set", f"ip_treatment={recipe}", *sets])
     return models
 
 
@@ -150,9 +152,11 @@ def test_detect_writes_what_a_csv_writer_would(root, seed, per_cluster):
     assert text == _csv_text(rows)
 
 
+@pytest.mark.parametrize("overrides", [(), ("pctl_frequent=70", "pctl_known=90")], ids=["default", "pctl"])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_calibrate_on_the_training_partitions_is_a_fixed_point(root, seed):
-    models = _models(root, seed, "drop")
+def test_calibrate_on_the_training_partitions_is_a_fixed_point(root, seed, overrides):
+    # calibrate reads the percentiles the models record, so it needs no --set
+    models = _models(root, seed, "drop", *overrides)
     calibrated = models.with_name(models.name + "-calibrated")
     shutil.copytree(models, calibrated)
     _run(["calibrate", "--data", _chain_root(root, seed) / "data", "--models", calibrated])
@@ -164,18 +168,22 @@ def _hour(row: list[str], header: list[str]) -> int:
     return int(row[header.index("flow_start_day")]) * 24 + int(row[header.index("flow_start_hour")])
 
 
-def test_reingest_keeps_validation_and_test_and_drops_a_new_warmup(root):
+@pytest.mark.parametrize("min_port_count", [None, 3], ids=["default", "3"])
+def test_reingest_keeps_validation_and_test_and_drops_a_new_warmup(root, min_port_count):
+    floor = ingest.SANITIZE_MIN_PORT_COUNT if min_port_count is None else min_port_count
+    option = [] if min_port_count is None else ["--min-port-count", min_port_count]
     for seed in SEEDS:
         work = _chain_root(root, seed)
+        again = work / f"again-{floor}"
         lines = [(work / "data" / name).read_bytes().splitlines(keepends=True) for name in PARTITIONS]
         header_line = lines[0][0]
         assert all(part[0] == header_line for part in lines)
         joined = work / "partitions.csv"
         joined.write_bytes(header_line + b"".join(line for part in lines for line in part[1:]))
-        _run(["ingest", "--input", joined, "--outdir", work / "again", "--split", "1,1,1"])
+        _run(["ingest", "--input", joined, "--outdir", again, "--split", "1,1,1", *option])
 
         for name, part in zip(PARTITIONS[1:], lines[1:]):
-            assert (work / "again" / name).read_bytes() == b"".join(part), name
+            assert (again / name).read_bytes() == b"".join(part), name
         header, *rows = csv.reader(line.decode() for line in lines[0])
         first_hour = min(_hour(row, header) for row in rows)
         # Training keeps the rows past the new warm-up window, and of them
@@ -183,6 +191,9 @@ def test_reingest_keeps_validation_and_test_and_drops_a_new_warmup(root):
         port = header.index("destination_port")
         kept = [(line, row) for line, row in zip(lines[0][1:], rows) if _hour(row, header) >= first_hour + WARMUP_HOURS]
         counts = Counter(row[port] for _, row in kept)
-        sanitized = [line for line, row in kept if not row[port] or counts[row[port]] >= MIN_PORT_COUNT]
+        sanitized = [line for line, row in kept if not row[port] or counts[row[port]] >= floor]
         assert 0 < len(sanitized) < len(rows)
-        assert (work / "again" / "training.csv").read_bytes() == header_line + b"".join(sanitized)
+        assert (again / "training.csv").read_bytes() == header_line + b"".join(sanitized)
+        report = json.loads((again / "cleansing_report.json").read_text())
+        assert report["sanitize_min_port_count"] == floor
+        assert report["sanitized_count"] == len(kept) - len(sanitized)

@@ -2,6 +2,7 @@ import csv
 import json
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -135,6 +136,14 @@ MALFORMED_MODELS = {
     ),
     "k-star-fractional": (_edit_filter2(lambda f2: f2.update(k_star=f2["k_star"] + 0.7)), "k_star"),
     "std-zero": (_edit_filter2(_zero_std), "per_cluster_std"),
+    "normalized-without-std": (
+        _edit_filter2(lambda f2: f2.update(distance_mode="normalized_euclidean", per_cluster_std=None)),
+        "per_cluster_std",
+    ),
+    "pctl-frequent-100": (_set("filter1.json", "pctl_frequent", 100.0), "pctl_frequent"),
+    "pctl-frequent-0": (_set("filter1.json", "pctl_frequent", 0.0), "pctl_frequent"),
+    "pctl-known-0": (_set("filter2.json", "pctl_known", 0.0), "pctl_known"),
+    "pctl-known-above-100": (_set("filter2.json", "pctl_known", 100.5), "pctl_known"),
     "columns-renamed": (
         _edit_recipe(lambda recipe: recipe["columns"].__setitem__(0, "protocol_identifier=bogus")),
         "columns",
@@ -345,40 +354,34 @@ class TestErrorPaths:
             ["eval", "--verdicts", "verdicts.csv", "--out", "report.json", "--pr-curve", "pr.csv"],
             ["eval", "--from-confusion", "tp=5", "fn=1", "fp=2", "tn=90", "--out", "confusion.json"],
             ["detect", "--models", "{models}", "--input", "{test}", "--out", "detected.csv"],
+            ["ingest", "--input", "{capture}", "--outdir", "data"],
+            ["calibrate", "--data", "{data}", "--models", "models"],
         ],
-        ids=["verdicts", "from-confusion", "detect"],
+        ids=["verdicts", "from-confusion", "detect", "ingest", "calibrate"],
     )
-    def test_eval_and_detect_take_no_configuration(self, workdir, tmp_path, monkeypatch, capsys, argv, extra):
-        # eval reads only its verdicts or counts, and detect its models,
-        # --mode and --tau; no configuration enters what they write
+    def test_commands_that_do_not_train_take_no_configuration(
+        self, workdir, tmp_path, monkeypatch, capsys, argv, extra
+    ):
+        # eval reads only its verdicts or counts, detect its models, --mode
+        # and --tau, ingest its --min-port-count and calibrate the
+        # percentiles its models record; no configuration enters what they
+        # write
         monkeypatch.chdir(tmp_path)
-        paths = {"models": workdir / "models", "test": workdir / "data" / "test.csv"}
+        paths = {
+            "models": workdir / "models",
+            "test": workdir / "data" / "test.csv",
+            "capture": workdir / "synthetic.csv",
+            "data": workdir / "data",
+        }
         detect = ["detect", "--models", str(paths["models"]), "--input", str(paths["test"])]
         assert main([*detect, "--out", "verdicts.csv"]) == 0
+        shutil.copytree(paths["models"], tmp_path / "models")
         (tmp_path / "run.conf").write_text("global_tanh_threshold=0.5\n")
         capsys.readouterr()
-        before = sorted(tmp_path.iterdir())
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
         assert main([*(arg.format(**paths) for arg in argv), *extra]) == 1
         assert capsys.readouterr().err.startswith("error: unrecognized arguments: ")
-        assert sorted(tmp_path.iterdir()) == before
-
-    @pytest.mark.parametrize("command", ["ingest", "calibrate", "detect"])
-    def test_seed_only_where_a_random_number_is_drawn(self, workdir, tmp_path, capsys, command):
-        models = tmp_path / "models"
-        models.mkdir()
-        for name in ("filter1.json", "filter2.json"):
-            (models / name).write_bytes((workdir / "models" / name).read_bytes())
-        before = {path: path.read_bytes() for path in models.iterdir()}
-        argv = {
-            "ingest": ["--input", str(workdir / "synthetic.csv"), "--outdir", str(tmp_path / "data")],
-            "calibrate": ["--data", str(workdir / "data"), "--models", str(models)],
-            "detect": ["--models", str(models), "--input", str(workdir / "data" / "test.csv"),
-                       "--out", str(tmp_path / "verdicts.csv")],
-        }[command]
-        assert main([command, *argv, "--seed", "42"]) == 1
-        assert capsys.readouterr().err == "error: unrecognized arguments: --seed 42\n"
-        assert sorted(tmp_path.iterdir()) == [models]
-        assert {path: path.read_bytes() for path in models.iterdir()} == before
+        assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
 
     @pytest.mark.parametrize(
         "argv",
@@ -387,10 +390,15 @@ class TestErrorPaths:
             ["synth", "--out", "capture.csv", "--split", "1,x,1"],
             ["synth", "--out", "capture.csv", "--split", "1,1"],
             ["sweep", "--data", "data", "--out", "sweep.csv", "--sizes", "10,abc"],
+            ["ingest", "--input", "capture.csv", "--outdir", "data", "--min-port-count", "-1"],
+            ["ingest", "--input", "capture.csv", "--outdir", "data", "--min-port-count", "2.5"],
         ],
-        ids=["ingest-split-a11", "synth-split-1x1", "synth-split-11", "sweep-sizes-10abc"],
+        ids=[
+            "ingest-split-a11", "synth-split-1x1", "synth-split-11", "sweep-sizes-10abc",
+            "ingest-min-port-count-negative", "ingest-min-port-count-fraction",
+        ],
     )
-    def test_malformed_split_or_sizes_is_usage_error(self, tmp_path, argv):
+    def test_malformed_split_sizes_or_port_count_is_usage_error(self, tmp_path, argv):
         done = _run_cli(tmp_path, argv)
         assert done.returncode == 1
         assert done.stderr.startswith("error:")
@@ -617,6 +625,29 @@ class TestErrorPaths:
         assert self._detect_with_edited_filter1(workdir, tmp_path, lambda p: p.update({key: None})) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not (tmp_path / "verdicts.csv").exists()
+
+    @pytest.mark.parametrize("name, key", [("filter1.json", "pctl_frequent"), ("filter2.json", "pctl_known")])
+    def test_a_model_without_its_percentile_detects_but_does_not_calibrate(
+        self, workdir, tmp_path, capsys, name, key
+    ):
+        # as a model file written before the models recorded their percentiles
+        models = tmp_path / "models"
+        shutil.copytree(workdir / "models", models)
+        payload = json.loads((models / name).read_text())
+        del payload[key]
+        (models / name).write_text(json.dumps(payload))
+        before = {path: path.read_bytes() for path in models.iterdir()}
+        assert main(["calibrate", "--data", str(workdir / "data"), "--models", str(models)]) == 2
+        error = capsys.readouterr().err
+        assert error == f"error: {models / name} records no {key} to recalibrate at; train it again\n"
+        assert {path: path.read_bytes() for path in models.iterdir()} == before
+        verdicts = []
+        for source in (workdir / "models", models):
+            out = tmp_path / f"verdicts-{len(verdicts)}.csv"
+            argv = ["detect", "--models", str(source), "--input", str(workdir / "data" / "test.csv")]
+            assert main([*argv, "--out", str(out)]) == 0
+            verdicts.append(out.read_bytes())
+        assert verdicts[0] == verdicts[1]
 
     def test_filter1_recipe_dimension_is_checked(self, workdir, tmp_path, capsys):
         def drop_vocabulary_value(payload):

@@ -847,6 +847,7 @@ class TestSerialization:
             {"per_cluster_thresholds": 0.4},
             {"per_cluster_std": [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]},
             {"per_cluster_std": [[1.0, "x"], [1.0, 1.0]]},
+            {"per_cluster_std": None},
         ],
     )
     def test_inconsistent_payload_is_schema_error(self, changes):
