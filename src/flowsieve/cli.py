@@ -193,8 +193,6 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    if args.min_port_count < 0:
-        raise UsageError(f"--min-port-count must be non-negative, got {args.min_port_count}")
     records, parse_report = ingest.parse_dataset(Path(args.input))
     if not records:
         raise DataError("no parseable rows in input")
@@ -223,7 +221,9 @@ def _cmd_ingest(args) -> int:
     partitions = ingest.partition_chronologically(
         cleansed, split_days=args.split, lab_network_id=args.lab_network
     )
-    training, sanitized_count = ingest.sanitize_training(partitions.training, args.min_port_count)
+    training, sanitized_count = ingest.sanitize_training(
+        partitions.training, ingest.SANITIZE_MIN_PORT_COUNT
+    )
 
     report = {
         "schema_version": 1,
@@ -231,7 +231,7 @@ def _cmd_ingest(args) -> int:
         "rows_dropped_by_reason": dict(cleanse_report.dropped_by_reason + partitions.dropped_by_reason),
         "pool_zero_filled": cleanse_report.pool_zero_filled,
         "sanitized_count": sanitized_count,
-        "sanitize_min_port_count": args.min_port_count,
+        "sanitize_min_port_count": ingest.SANITIZE_MIN_PORT_COUNT,
         "partition_rows": {
             "training": len(training),
             "validation": len(partitions.validation),
@@ -295,15 +295,11 @@ def _load_pipeline(models_dir: Path, config: PipelineConfig) -> pipeline.Trained
 def _cmd_calibrate(args) -> int:
     models = Path(args.models)
     trained = _load_pipeline(models, PipelineConfig())
-    # the thresholds are recomputed at the percentiles the models were trained with
-    for name, model, key in (
-        (FILTER1_FILE, trained.filter1, "pctl_frequent"),
-        (FILTER2_FILE, trained.filter2, "pctl_known"),
-    ):
-        if getattr(model, key) is None:
-            raise SchemaError(f"{models / name} records no {key} to recalibrate at; train it again")
     validation = _read_partition(Path(args.data) / VALIDATION_CSV)
-    recalibrated = pipeline.recalibrate(trained, validation)
+    try:
+        recalibrated = pipeline.recalibrate(trained, validation)
+    except SchemaError as exc:  # a model records no percentile
+        raise SchemaError(f"{models}: {exc}") from None
     _write_models(models, recalibrated)
     thresholds = recalibrated.filter2.per_cluster_thresholds or []
     print(
@@ -575,12 +571,6 @@ def build_parser() -> _Parser:
     p.add_argument("--outdir", required=True)
     p.add_argument("--split", type=_split_days, default="13,3,5")
     p.add_argument("--lab-network", type=int, default=LAB_NETWORK_ID)
-    p.add_argument(
-        "--min-port-count",
-        type=int,
-        default=ingest.SANITIZE_MIN_PORT_COUNT,
-        help="drop training flows whose destination port occurs fewer times (default %(default)s)",
-    )
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("train", help="train both filters on an ingested dataset")

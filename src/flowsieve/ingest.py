@@ -464,7 +464,7 @@ def preprocess(flows: list[FlowRecord]) -> tuple[list[FlowRecord], CleanseReport
     return kept, report
 
 
-# The default of `ingest --min-port-count`.
+# `ingest` drops the training flows whose destination port occurs fewer times.
 SANITIZE_MIN_PORT_COUNT = 10
 
 

@@ -17,7 +17,7 @@ from . import autoencoder, clustering, encode
 from .clustering import Filter2Model
 from .config import ClusteringFeatures, PipelineConfig
 from .encode import EncodingRecipe
-from .errors import DataError
+from .errors import DataError, SchemaError
 from .metrics import build_eval_report
 from .records import FlowRecord, verdict_table
 
@@ -104,9 +104,15 @@ def train_encoded(
 
 def recalibrate(pipeline: TrainedPipeline, validation_flows: Sequence[FlowRecord]) -> TrainedPipeline:
     """Recompute both thresholds on (new) validation flows, each at the
-    percentile its model records; neither may be None, as in a model file
-    written before the models recorded them."""
+    percentile its model records. A model written before the models
+    recorded them holds None there: SchemaError, naming the key."""
     filter1 = pipeline.filter1
+    for artifact, key, pctl in (
+        (autoencoder.Filter1Model.ARTIFACT, "pctl_frequent", filter1.pctl_frequent),
+        (Filter2Model.ARTIFACT, "pctl_known", pipeline.filter2.pctl_known),
+    ):
+        if pctl is None:
+            raise SchemaError(f"{artifact} artifact records no {key} to recalibrate at; train it again")
     val_matrix = encode.apply_recipe(list(validation_flows), pipeline.recipe).values
     th_frequent = autoencoder.set_frequency_threshold(filter1, val_matrix, filter1.pctl_frequent)
     filter1 = replace(filter1, th_frequent=th_frequent)

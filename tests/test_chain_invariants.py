@@ -12,8 +12,8 @@
 - `ingest` of its own three partitions writes `validation.csv` and
   `test.csv` again byte for byte, while `training.csv` loses the rows in
   the warm-up window of the shorter capture, and then the rows whose
-  destination port that loss leaves below `--min-port-count`, and the
-  cleansing report records that floor.
+  destination port that loss leaves below `ingest.SANITIZE_MIN_PORT_COUNT`,
+  and the cleansing report records that floor.
 
 Each capture and each training runs once per module; hypothesis draws the
 capture seeds from a small pool so that its examples share them.
@@ -168,22 +168,18 @@ def _hour(row: list[str], header: list[str]) -> int:
     return int(row[header.index("flow_start_day")]) * 24 + int(row[header.index("flow_start_hour")])
 
 
-@pytest.mark.parametrize("min_port_count", [None, 3], ids=["default", "3"])
-def test_reingest_keeps_validation_and_test_and_drops_a_new_warmup(root, min_port_count):
-    floor = ingest.SANITIZE_MIN_PORT_COUNT if min_port_count is None else min_port_count
-    option = [] if min_port_count is None else ["--min-port-count", min_port_count]
+def test_reingest_keeps_validation_and_test_and_drops_a_new_warmup(root):
     for seed in SEEDS:
         work = _chain_root(root, seed)
-        again = work / f"again-{floor}"
         lines = [(work / "data" / name).read_bytes().splitlines(keepends=True) for name in PARTITIONS]
         header_line = lines[0][0]
         assert all(part[0] == header_line for part in lines)
         joined = work / "partitions.csv"
         joined.write_bytes(header_line + b"".join(line for part in lines for line in part[1:]))
-        _run(["ingest", "--input", joined, "--outdir", again, "--split", "1,1,1", *option])
+        _run(["ingest", "--input", joined, "--outdir", work / "again", "--split", "1,1,1"])
 
         for name, part in zip(PARTITIONS[1:], lines[1:]):
-            assert (again / name).read_bytes() == b"".join(part), name
+            assert (work / "again" / name).read_bytes() == b"".join(part), name
         header, *rows = csv.reader(line.decode() for line in lines[0])
         first_hour = min(_hour(row, header) for row in rows)
         # Training keeps the rows past the new warm-up window, and of them
@@ -191,9 +187,9 @@ def test_reingest_keeps_validation_and_test_and_drops_a_new_warmup(root, min_por
         port = header.index("destination_port")
         kept = [(line, row) for line, row in zip(lines[0][1:], rows) if _hour(row, header) >= first_hour + WARMUP_HOURS]
         counts = Counter(row[port] for _, row in kept)
-        sanitized = [line for line, row in kept if not row[port] or counts[row[port]] >= floor]
+        sanitized = [line for line, row in kept if not row[port] or counts[row[port]] >= ingest.SANITIZE_MIN_PORT_COUNT]
         assert 0 < len(sanitized) < len(rows)
-        assert (again / "training.csv").read_bytes() == header_line + b"".join(sanitized)
-        report = json.loads((again / "cleansing_report.json").read_text())
-        assert report["sanitize_min_port_count"] == floor
+        assert (work / "again" / "training.csv").read_bytes() == header_line + b"".join(sanitized)
+        report = json.loads((work / "again" / "cleansing_report.json").read_text())
+        assert report["sanitize_min_port_count"] == ingest.SANITIZE_MIN_PORT_COUNT
         assert report["sanitized_count"] == len(kept) - len(sanitized)

@@ -363,9 +363,9 @@ class TestErrorPaths:
         self, workdir, tmp_path, monkeypatch, capsys, argv, extra
     ):
         # eval reads only its verdicts or counts, detect its models, --mode
-        # and --tau, ingest its --min-port-count and calibrate the
-        # percentiles its models record; no configuration enters what they
-        # write
+        # and --tau, ingest its capture, --split and --lab-network, and
+        # calibrate the percentiles its models record; no configuration
+        # enters what they write
         monkeypatch.chdir(tmp_path)
         paths = {
             "models": workdir / "models",
@@ -390,15 +390,10 @@ class TestErrorPaths:
             ["synth", "--out", "capture.csv", "--split", "1,x,1"],
             ["synth", "--out", "capture.csv", "--split", "1,1"],
             ["sweep", "--data", "data", "--out", "sweep.csv", "--sizes", "10,abc"],
-            ["ingest", "--input", "capture.csv", "--outdir", "data", "--min-port-count", "-1"],
-            ["ingest", "--input", "capture.csv", "--outdir", "data", "--min-port-count", "2.5"],
         ],
-        ids=[
-            "ingest-split-a11", "synth-split-1x1", "synth-split-11", "sweep-sizes-10abc",
-            "ingest-min-port-count-negative", "ingest-min-port-count-fraction",
-        ],
+        ids=["ingest-split-a11", "synth-split-1x1", "synth-split-11", "sweep-sizes-10abc"],
     )
-    def test_malformed_split_sizes_or_port_count_is_usage_error(self, tmp_path, argv):
+    def test_malformed_split_or_sizes_is_usage_error(self, tmp_path, argv):
         done = _run_cli(tmp_path, argv)
         assert done.returncode == 1
         assert done.stderr.startswith("error:")
@@ -639,7 +634,8 @@ class TestErrorPaths:
         before = {path: path.read_bytes() for path in models.iterdir()}
         assert main(["calibrate", "--data", str(workdir / "data"), "--models", str(models)]) == 2
         error = capsys.readouterr().err
-        assert error == f"error: {models / name} records no {key} to recalibrate at; train it again\n"
+        artifact = {"filter1.json": "frequency-filter", "filter2.json": "cluster-filter"}[name]
+        assert error == f"error: {models}: {artifact} artifact records no {key} to recalibrate at; train it again\n"
         assert {path: path.read_bytes() for path in models.iterdir()} == before
         verdicts = []
         for source in (workdir / "models", models):

@@ -5,6 +5,7 @@ import pytest
 
 from flowsieve import autoencoder, clustering, encode, pipeline
 from flowsieve.config import ClusteringFeatures, DistanceMode, PipelineConfig
+from flowsieve.errors import SchemaError
 from flowsieve.records import LabelClass
 
 
@@ -156,6 +157,14 @@ class TestRecalibrate:
         recal = pipeline.recalibrate(trained, validation)
         assert recal.th_frequent == trained.th_frequent
         assert recal.filter2.per_cluster_thresholds == trained.filter2.per_cluster_thresholds
+
+    @pytest.mark.parametrize("model, key", [("filter1", "pctl_frequent"), ("filter2", "pctl_known")])
+    def test_a_model_without_its_percentile_is_schema_error(self, trained, synth_partitions, model, key):
+        # as a model file written before the models recorded their percentiles
+        _, validation, _ = synth_partitions
+        unrecorded = dataclasses.replace(getattr(trained, model), **{key: None})
+        with pytest.raises(SchemaError, match=f"artifact records no {key} to recalibrate at"):
+            pipeline.recalibrate(dataclasses.replace(trained, **{model: unrecorded}), validation)
 
     @pytest.mark.parametrize(
         "features,distance",
