@@ -23,7 +23,7 @@ import numpy as np
 from . import ingest, pipeline
 from .autoencoder import Filter1Model
 from .clustering import Filter2Model
-from .config import PipelineConfig, load_config_file
+from .config import PipelineConfig, check_global_tanh_threshold, load_config_file
 from .errors import (
     ConfigError,
     DataError,
@@ -103,7 +103,10 @@ def _build_config(args) -> PipelineConfig:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
-        updates[key.strip()] = value.strip()
+        key = key.strip()
+        if key in args.unread_keys:
+            raise UsageError(f"{args.command} does not read {key}")
+        updates[key] = value.strip()
     if args.seed is not None:
         updates["rng_seed"] = args.seed
     if updates:
@@ -111,8 +114,11 @@ def _build_config(args) -> PipelineConfig:
     return config
 
 
-def _add_config_options(parser: argparse.ArgumentParser) -> None:
-    """--config, --set and --seed, of the commands that train."""
+def _add_config_options(parser: argparse.ArgumentParser, unread: tuple[str, ...] = ()) -> None:
+    """--config, --set and --seed, of the commands that train. `--set` of
+    a key in `unread`, which the command never reads, is a usage error; a
+    --config file may hold it, so one file serves every such command."""
+    parser.set_defaults(unread_keys=unread)
     parser.add_argument("--config", help="flat key=value configuration file")
     parser.add_argument(
         "--set",
@@ -278,8 +284,8 @@ def _write_models(models_dir: Path, trained: pipeline.TrainedPipeline) -> None:
     )
 
 
-def _load_pipeline(models_dir: Path, config: PipelineConfig) -> pipeline.TrainedPipeline:
-    """The calibrated pipeline saved under models_dir, run with config."""
+def _load_pipeline(models_dir: Path) -> pipeline.TrainedPipeline:
+    """The calibrated pipeline saved under models_dir."""
     filter1 = Filter1Model.load(models_dir / FILTER1_FILE)
     filter2 = Filter2Model.load(models_dir / FILTER2_FILE)
     if filter1.recipe is None:
@@ -289,12 +295,12 @@ def _load_pipeline(models_dir: Path, config: PipelineConfig) -> pipeline.Trained
     basis = filter2.pca_basis
     if basis is not None and basis.mean.size != filter1.input_dim:
         raise Filter2Model.invalid("pca_basis", f"it has {basis.mean.size} columns, not {filter1.input_dim}")
-    return pipeline.TrainedPipeline(config=config, filter1=filter1, filter2=filter2)
+    return pipeline.TrainedPipeline(filter1, filter2)
 
 
 def _cmd_calibrate(args) -> int:
     models = Path(args.models)
-    trained = _load_pipeline(models, PipelineConfig())
+    trained = _load_pipeline(models)
     validation = _read_partition(Path(args.data) / VALIDATION_CSV)
     try:
         recalibrated = pipeline.recalibrate(trained, validation)
@@ -325,12 +331,13 @@ VERDICT_HEADER = [
 
 def _cmd_detect(args) -> int:
     # the models carry everything else; --mode and --tau pick the verdict rule
-    config = PipelineConfig(global_tanh_threshold=None if args.mode == "per-cluster" else args.tau)
-    trained = _load_pipeline(Path(args.models), config)
+    tau = None if args.mode == "per-cluster" else args.tau
+    check_global_tanh_threshold(tau)
+    trained = _load_pipeline(Path(args.models))
     records = _read_partition(Path(args.input))
     if not records:
         raise DataError("no parseable rows in input")
-    table = pipeline.classify_flows(trained, records)
+    table = pipeline.classify_flows(trained, records, tau)
     blank = np.flatnonzero(table.frequent).tolist()
 
     def cluster_cells(values) -> list[str]:
@@ -576,7 +583,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train both filters on an ingested dataset")
     p.add_argument("--data", required=True, help="directory produced by ingest")
     p.add_argument("--outdir", required=True)
-    _add_config_options(p)
+    _add_config_options(p, unread=("global_tanh_threshold",))
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("calibrate", help="recompute thresholds on validation data")
@@ -612,7 +619,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bench", help="compare against one-step baselines")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    _add_config_options(p)
+    # bench's two-step row is scored by tanh distance, not by a verdict
+    _add_config_options(p, unread=("global_tanh_threshold",))
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("grid", help="run the hyperparameter grid")

@@ -83,8 +83,7 @@ class PipelineConfig:
             raise ConfigError("k_min must be at least 2")
         if self.k_min > self.k_max:
             raise ConfigError("k_min must not exceed k_max")
-        if self.global_tanh_threshold is not None and not 0 < self.global_tanh_threshold < 1:
-            raise ConfigError("global_tanh_threshold must lie in (0, 1)")
+        check_global_tanh_threshold(self.global_tanh_threshold)
         if self.silhouette_sample_max < 2:
             raise ConfigError("silhouette_sample_max must be at least 2")
 
@@ -103,6 +102,13 @@ class PipelineConfig:
                 raise ConfigError(f"unknown configuration key {key!r}")
             parsed[key] = _coerce_field(fields[key], value)
         return self.replace(**parsed)
+
+
+def check_global_tanh_threshold(tau: Optional[float]) -> None:
+    """A global tanh threshold lies in (0, 1); None selects the per-cluster
+    thresholds."""
+    if tau is not None and not 0 < tau < 1:
+        raise ConfigError("global_tanh_threshold must lie in (0, 1)")
 
 
 # The one field that may be None: per-cluster thresholds instead of tanh.

@@ -60,7 +60,8 @@ def _trial(
     config, or the error that stopped it."""
     try:
         trained = train_pipeline(training, validation, config)
-        return {"macro": evaluate_pipeline(trained, test)[0]["macro"], "error": None}
+        report, _ = evaluate_pipeline(trained, test, config.global_tanh_threshold)
+        return {"macro": report["macro"], "error": None}
     except FlowSieveError as exc:
         return {"macro": None, "error": str(exc)}
 
@@ -167,6 +168,7 @@ def run_benchmark(
     with forked_map(lambda name: one_step[name](), list(one_step)) as one_step_scores:
         trained = train_encoded(recipe, train_matrix, val_matrix, config)
         score_sets = {
+            # scored by tanh distance, which no verdict threshold changes
             "two_step": verdict_scores(classify_matrix(trained, test_matrix)),
             "autoencoder": baselines.score_ae_one_step(trained.filter1, test_matrix),
         }

@@ -9,13 +9,13 @@ infrequent validation rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import autoencoder, clustering, encode
 from .clustering import Filter2Model
-from .config import ClusteringFeatures, PipelineConfig
+from .config import ClusteringFeatures, PipelineConfig, check_global_tanh_threshold
 from .encode import EncodingRecipe
 from .errors import DataError, SchemaError
 from .metrics import build_eval_report
@@ -24,13 +24,8 @@ from .records import FlowRecord, verdict_table
 
 @dataclass
 class TrainedPipeline:
-    """Both trained filters and the configuration that classifies with them.
+    """Both trained and calibrated filters."""
 
-    `config.global_tanh_threshold` picks the verdict rule: tanh(distance)
-    against that global threshold, or with None the per-cluster thresholds.
-    """
-
-    config: PipelineConfig
     filter1: autoencoder.Filter1Model
     filter2: Filter2Model
 
@@ -99,7 +94,7 @@ def train_encoded(
     filter2.pca_basis = pca_basis
     filter2.pctl_known = config.pctl_known
     filter2 = _calibrate_filter2(filter1, filter2, val_matrix)
-    return TrainedPipeline(config=config, filter1=filter1, filter2=filter2)
+    return TrainedPipeline(filter1, filter2)
 
 
 def recalibrate(pipeline: TrainedPipeline, validation_flows: Sequence[FlowRecord]) -> TrainedPipeline:
@@ -117,11 +112,20 @@ def recalibrate(pipeline: TrainedPipeline, validation_flows: Sequence[FlowRecord
     th_frequent = autoencoder.set_frequency_threshold(filter1, val_matrix, filter1.pctl_frequent)
     filter1 = replace(filter1, th_frequent=th_frequent)
     filter2 = _calibrate_filter2(filter1, pipeline.filter2, val_matrix)
-    return TrainedPipeline(pipeline.config, filter1, filter2)
+    return TrainedPipeline(filter1, filter2)
 
 
-def classify_matrix(pipeline: TrainedPipeline, x: np.ndarray) -> np.recarray:
-    """The verdict table of encoded rows (see `records.verdict_table`), in row order."""
+_TAU = PipelineConfig.global_tanh_threshold  # the default verdict threshold
+
+
+def classify_matrix(pipeline: TrainedPipeline, x: np.ndarray, tau: Optional[float] = _TAU) -> np.recarray:
+    """The verdict table of encoded rows (see `records.verdict_table`), in row order.
+
+    An infrequent row is known when tanh(distance) < `tau` or, with `tau`
+    None, when its distance is below its cluster's threshold; `tau` must
+    lie in (0, 1).
+    """
+    check_global_tanh_threshold(tau)
     mses = autoencoder.compute_mse(pipeline.filter1, x)
     frequent = autoencoder.classify_frequent_rows(mses, pipeline.th_frequent)
     n = len(x)
@@ -137,22 +141,23 @@ def classify_matrix(pipeline: TrainedPipeline, x: np.ndarray) -> np.recarray:
         projected = encode.project_features(
             x[infrequent_rows], filter2.feature_space, pipeline.filter1, filter2.pca_basis
         )
-        scores = clustering.score_and_classify(projected, filter2, pipeline.config.global_tanh_threshold)
+        scores = clustering.score_and_classify(projected, filter2, tau)
         for name, column in cluster_fields.items():
             column[infrequent_rows] = scores[name]
     return verdict_table(mses, frequent, **cluster_fields)
 
 
-def classify_flows(pipeline: TrainedPipeline, flows: Sequence[FlowRecord]) -> np.recarray:
-    return classify_matrix(pipeline, encode.apply_recipe(list(flows), pipeline.recipe).values)
+def classify_flows(
+    pipeline: TrainedPipeline, flows: Sequence[FlowRecord], tau: Optional[float] = _TAU
+) -> np.recarray:
+    return classify_matrix(pipeline, encode.apply_recipe(list(flows), pipeline.recipe).values, tau)
 
 
 def evaluate_pipeline(
-    pipeline: TrainedPipeline, test_flows: Sequence[FlowRecord]
+    pipeline: TrainedPipeline, test_flows: Sequence[FlowRecord], tau: Optional[float] = _TAU
 ) -> tuple[dict, np.recarray]:
-    """Classify the test flows and build the evaluation report."""
-    tau = pipeline.config.global_tanh_threshold
-    verdicts = classify_flows(pipeline, test_flows)
+    """Classify the test flows under `tau` and build the evaluation report."""
+    verdicts = classify_flows(pipeline, test_flows, tau)
     labels = [flow.actual_label for flow in test_flows]
     thresholds = {
         "th_frequent": pipeline.th_frequent,

@@ -101,9 +101,14 @@ def test_criterion_06_percentile_oracle():
         n = int(rng.integers(1, 501))
         values = rng.normal(size=n) * float(rng.integers(1, 1000))
         p = int(rng.integers(1, 101))
-        expected = sorted(values.tolist())[min(max(math.ceil(p * n / 100), 1), n) - 1]
-        if nearest_rank_percentile(values, p) != expected:
-            mismatches += 1
+        # and a non-integer percentile, whose rank is rounded up too
+        for q in (p, p - 0.5):
+            expected = sorted(values.tolist())[min(max(math.ceil(q * n / 100), 1), n) - 1]
+            if nearest_rank_percentile(values, q) != expected:
+                mismatches += 1
+    # 60.5% of 10 values is rank ceil(6.05) = 7
+    if nearest_rank_percentile(np.arange(10.0), 60.5) != 6.0:
+        mismatches += 1
     _report(6, "nearest-rank percentile oracle", mismatches == 0, f"{mismatches} mismatches")
 
 

@@ -19,7 +19,6 @@ Each capture and each training runs once per module; hypothesis draws the
 capture seeds from a small pool so that its examples share them.
 """
 import csv
-import dataclasses
 import functools
 import json
 import shutil
@@ -80,9 +79,7 @@ def _flows(path):
 
 def _trained(models) -> pipeline.TrainedPipeline:
     return pipeline.TrainedPipeline(
-        config=PipelineConfig(),
-        filter1=Filter1Model.load(models / "filter1.json"),
-        filter2=Filter2Model.load(models / "filter2.json"),
+        Filter1Model.load(models / "filter1.json"), Filter2Model.load(models / "filter2.json")
     )
 
 
@@ -105,14 +102,13 @@ def _assert_same_table(actual, expected) -> None:
 )
 def test_classify_of_permuted_rows_is_the_permuted_table(root, seed, recipe, per_cluster, order_seed):
     trained = _trained(_models(root, seed, recipe))
-    if per_cluster:
-        trained = dataclasses.replace(trained, config=trained.config.replace(global_tanh_threshold=None))
+    tau = None if per_cluster else PipelineConfig.global_tanh_threshold
     x = encode.apply_recipe(_flows(_chain_root(root, seed) / "data" / "test.csv"), trained.recipe).values
     assert (x.shape[1] == 25) == (recipe == "drop")
     order = np.random.default_rng(order_seed).permutation(len(x))
-    table = pipeline.classify_matrix(trained, x)
+    table = pipeline.classify_matrix(trained, x, tau)
     assert (~table.frequent).any()
-    _assert_same_table(pipeline.classify_matrix(trained, x[order]), table[order])
+    _assert_same_table(pipeline.classify_matrix(trained, x[order], tau), table[order])
 
 
 @settings(max_examples=6, deadline=None)

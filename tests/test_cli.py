@@ -238,12 +238,10 @@ class TestPipelineComposability:
         assert main(argv) == 0
 
         trained = pipeline.TrainedPipeline(
-            PipelineConfig(global_tanh_threshold=0.75),
-            Filter1Model.load(models / "filter1.json"),
-            Filter2Model.load(models / "filter2.json"),
+            Filter1Model.load(models / "filter1.json"), Filter2Model.load(models / "filter2.json")
         )
         records, _ = ingest.parse_dataset(test_csv)
-        table = pipeline.classify_flows(trained, records)
+        table = pipeline.classify_flows(trained, records, tau=0.75)
         labels = [record.actual_label for record in records]
         expected = build_eval_report(table, labels, thresholds={})
         report = json.loads(report_json.read_text())
@@ -281,10 +279,10 @@ class TestPipelineComposability:
         assert main(["detect", "--models", str(models), "--input", str(test_csv), "--out", str(verdicts_csv)]) == 0
         assert main(["eval", "--verdicts", str(verdicts_csv), "--out", str(report_json)]) == 0
         trained = pipeline.TrainedPipeline(
-            PipelineConfig(), Filter1Model.load(models / "filter1.json"), Filter2Model.load(models / "filter2.json")
+            Filter1Model.load(models / "filter1.json"), Filter2Model.load(models / "filter2.json")
         )
         records, _ = ingest.parse_dataset(test_csv)
-        in_memory, _ = pipeline.evaluate_pipeline(trained, records)
+        in_memory, _ = pipeline.evaluate_pipeline(trained, records, tau=0.75)
         for report in (json.loads(report_json.read_text()), in_memory):
             assert set(report) == {"schema_version", "scenarios", "macro", "thresholds"}
             assert report["schema_version"] == 2
@@ -911,18 +909,24 @@ class TestErrorPaths:
         assert code in (2, 3) or not list(out.glob("*.tmp"))
         assert not list(out.glob("*.tmp"))
 
-    def test_unknown_config_key_is_usage_error(self, workdir, tmp_path):
-        assert (
-            main(
-                [
-                    "train",
-                    "--data", str(workdir / "data"),
-                    "--outdir", str(tmp_path),
-                    "--set", "bogus_knob=1",
-                ]
-            )
-            == 1
-        )
+    @pytest.mark.parametrize(
+        "command,setting",
+        [
+            ("train", "bogus_knob=1"),
+            # neither reads the verdict threshold: train writes the same
+            # models and bench's two-step row ranks by tanh distance
+            ("train", "global_tanh_threshold=0.5"),
+            ("bench", "global_tanh_threshold=none"),
+        ],
+        ids=["train-bogus", "train-tau", "bench-tau"],
+    )
+    def test_unknown_config_key_is_usage_error(self, workdir, tmp_path, capsys, command, setting):
+        out = ["--outdir", str(tmp_path)] if command == "train" else ["--out", str(tmp_path / "bench.json")]
+        argv = [command, "--data", str(workdir / "data"), *out, "--set", setting]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and setting.partition("=")[0] in err
+        assert not list(tmp_path.iterdir())
 
 
 class TestIdempotentReruns:
@@ -950,6 +954,9 @@ class TestConfigFile:
             "pctl_frequent=70\n"
             "distance_mode=normalized_euclidean\n"
             "rng_seed=5\n"
+            # train reads no verdict threshold, but one file serves every
+            # command that trains
+            "global_tanh_threshold=0.5\n"
         )
         out = tmp_path / "models"
         assert (

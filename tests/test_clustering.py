@@ -197,6 +197,14 @@ class TestTrainFilter2:
         with pytest.raises(DegenerateDataError):
             clustering.train_filter2(np.ones((20, 3)), config)
 
+    def test_tied_silhouettes_keep_the_smallest_k(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        x, _ = _blobs(rng, [(0.0, 0.0), (6.0, 6.0)], per_blob=20)
+        monkeypatch.setattr(clustering, "silhouette_means", lambda x, sets: [0.5] * len(sets))
+        model = clustering.train_filter2(x, PipelineConfig(k_min=2, k_max=5, rng_seed=21))
+        assert list(model.silhouette_by_k) == [2, 3, 4, 5]
+        assert model.k_star == 2
+
     def test_k_max_shrinks_with_warning(self):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(5, 2))
@@ -729,6 +737,11 @@ class TestScoreAndClassify:
         assert below.malicious == False
         assert above.malicious == True
         assert boundary == pytest.approx(0.9730, abs=1e-4)
+        # a row whose tanh score equals tau exactly is unknown
+        row = np.array([[boundary, 0.0]])
+        [scored] = clustering.score_and_classify(row, model, 0.75)
+        [again] = clustering.score_and_classify(row, model, float(scored.tanh_score))
+        assert again.malicious == True
 
     def test_strict_threshold_comparison(self):
         model = self._simple_model(thresholds=[1.0, 1.0])

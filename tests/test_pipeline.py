@@ -5,7 +5,7 @@ import pytest
 
 from flowsieve import autoencoder, clustering, encode, pipeline
 from flowsieve.config import ClusteringFeatures, DistanceMode, PipelineConfig
-from flowsieve.errors import SchemaError
+from flowsieve.errors import ConfigError, SchemaError
 from flowsieve.records import LabelClass
 
 
@@ -15,17 +15,12 @@ def trained(synth_partitions):
     return pipeline.train_pipeline(training, validation, PipelineConfig())
 
 
-def _with_tau(trained, tau):
-    """The same models, classifying per cluster (tau None) or by tanh < tau."""
-    return dataclasses.replace(trained, config=trained.config.replace(global_tanh_threshold=tau))
-
-
 class TestTrainPipeline:
     def test_threshold_is_validation_percentile(self, trained, synth_partitions):
         _, validation, _ = synth_partitions
         matrix = encode.apply_recipe(validation, trained.recipe).values
         expected = autoencoder.set_frequency_threshold(
-            trained.filter1, matrix, trained.config.pctl_frequent
+            trained.filter1, matrix, trained.filter1.pctl_frequent
         )
         assert trained.th_frequent == expected
 
@@ -67,7 +62,7 @@ class TestClassify:
 
     def test_per_cluster_mode(self, trained, synth_partitions):
         *_, test = synth_partitions
-        verdicts = pipeline.classify_flows(_with_tau(trained, None), test)
+        verdicts = pipeline.classify_flows(trained, test, tau=None)
         recall_hits = sum(
             1
             for flow, verdict in zip(test, verdicts)
@@ -78,12 +73,14 @@ class TestClassify:
 
     def test_custom_tau(self, trained, synth_partitions):
         *_, test = synth_partitions
-        strict = pipeline.classify_flows(_with_tau(trained, 0.999999), test)
+        strict = pipeline.classify_flows(trained, test, tau=0.999999)
         # an extremely permissive threshold lets (almost) everything pass
         malicious = int(strict.malicious.sum())
-        default = pipeline.classify_flows(_with_tau(trained, 0.75), test)
+        default = pipeline.classify_flows(trained, test, tau=0.75)
         malicious_default = int(default.malicious.sum())
         assert malicious <= malicious_default
+        with pytest.raises(ConfigError, match=r"global_tanh_threshold must lie in \(0, 1\)"):
+            pipeline.classify_flows(trained, test, tau=1.0)
 
 
 class TestEvaluate:
@@ -102,10 +99,10 @@ class TestEvaluate:
 
     def test_report_names_the_per_cluster_rule(self, trained, synth_partitions):
         *_, test = synth_partitions
-        report, verdicts = pipeline.evaluate_pipeline(_with_tau(trained, None), test)
+        report, verdicts = pipeline.evaluate_pipeline(trained, test, tau=None)
         assert report["thresholds"]["mode"] == "per_cluster"
         assert report["thresholds"]["global_tanh_threshold"] is None
-        assert verdicts.tobytes() == pipeline.classify_flows(_with_tau(trained, None), test).tobytes()
+        assert verdicts.tobytes() == pipeline.classify_flows(trained, test, tau=None).tobytes()
 
 
 class TestFeatureSpaces:
